@@ -66,8 +66,7 @@ main(int argc, char **argv)
         "no-verify", "skip the static verifier pre-filter");
     const std::string engine_name = args.getString(
         "engine", "auto",
-        "sim engine for the sweeps: walk, fast or auto (also "
-        "GANACC_ENGINE)");
+        "sim engine for the sweeps: walk or auto (also GANACC_ENGINE)");
     bench::CacheScope cache_scope(args);
     if (args.helpRequested()) {
         args.usage(std::cout);
@@ -77,7 +76,7 @@ main(int argc, char **argv)
     if (auto engine = sim::simEngineFromName(engine_name))
         sim::setSimEngine(*engine);
     else
-        util::fatal("--engine expects walk, fast or auto, got '",
+        util::fatal("--engine expects walk or auto, got '",
                     engine_name, "'");
 
     bench::banner("Design-space frontier (ZFOST-ZFWST on the VCU9P)",
@@ -151,7 +150,7 @@ main(int argc, char **argv)
         auto f0 = std::chrono::steady_clock::now();
         std::vector<core::DsePoint> fast_pts;
         {
-            sim::ScopedSimEngine eng(sim::SimEngine::Fast);
+            sim::ScopedSimEngine eng(sim::SimEngine::Auto);
             fast_pts = core::sweepFrontier(cons, dcgan);
         }
         auto f1 = std::chrono::steady_clock::now();

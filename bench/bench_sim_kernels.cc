@@ -58,7 +58,7 @@ void
 BM_ZfostOnGPhaseFast(benchmark::State &state)
 {
     simulateFamily(state, core::ArchKind::ZFOST, sim::PhaseFamily::G,
-                   sim::SimEngine::Fast);
+                   sim::SimEngine::Auto);
 }
 BENCHMARK(BM_ZfostOnGPhaseFast)->Unit(benchmark::kMillisecond);
 
@@ -73,7 +73,7 @@ void
 BM_ZfwstOnGwPhaseFast(benchmark::State &state)
 {
     simulateFamily(state, core::ArchKind::ZFWST, sim::PhaseFamily::Gw,
-                   sim::SimEngine::Fast);
+                   sim::SimEngine::Auto);
 }
 BENCHMARK(BM_ZfwstOnGwPhaseFast)->Unit(benchmark::kMillisecond);
 
@@ -88,7 +88,7 @@ void
 BM_OstOnDPhaseFast(benchmark::State &state)
 {
     simulateFamily(state, core::ArchKind::OST, sim::PhaseFamily::D,
-                   sim::SimEngine::Fast);
+                   sim::SimEngine::Auto);
 }
 BENCHMARK(BM_OstOnDPhaseFast)->Unit(benchmark::kMillisecond);
 
@@ -103,7 +103,7 @@ void
 BM_WstOnDwPhaseFast(benchmark::State &state)
 {
     simulateFamily(state, core::ArchKind::WST, sim::PhaseFamily::Dw,
-                   sim::SimEngine::Fast);
+                   sim::SimEngine::Auto);
 }
 BENCHMARK(BM_WstOnDwPhaseFast)->Unit(benchmark::kMillisecond);
 
@@ -154,7 +154,7 @@ BENCHMARK(BM_ZfostLargeTconvWalk)->Unit(benchmark::kMillisecond);
 void
 BM_ZfostLargeTconvFast(benchmark::State &state)
 {
-    simulateLargeTconv(state, sim::SimEngine::Fast);
+    simulateLargeTconv(state, sim::SimEngine::Auto);
 }
 BENCHMARK(BM_ZfostLargeTconvFast)->Unit(benchmark::kMillisecond);
 

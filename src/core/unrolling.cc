@@ -11,7 +11,7 @@
 #include "core/zfost.hh"
 #include "core/zfwst.hh"
 #include "sim/nlr.hh"
-#include "sim/ost.hh"
+#include "sim/output_stationary.hh"
 #include "sim/wst.hh"
 #include "util/logging.hh"
 

@@ -3,32 +3,22 @@
  * ZFOST — Zero-Free Output-STationary microarchitecture (Fig. 11),
  * the paper's design for ST-ARCH (phases D→, G→, D←, G←).
  *
- * Like OST, a P_oy x P_ox output tile is pinned to the PEs and P_of
- * channels share a broadcast input register array. The two additions:
- *
- *  1. *Reordered weight feed* (Fig. 12(a)): kernel weights enter
- *     grouped by coordinate parity class (K(even,even) first, then
- *     K(even,odd), ...), which restores the register-array shifting
- *     reuse that raster order destroys on strided convolutions.
- *
- *  2. *Zero-free scheduling* (Fig. 12(b)): for zero-inserted inputs,
- *     outputs are processed per parity class, and each class only
- *     streams the kernel positions whose input operands are
- *     structurally non-zero; for zero-inserted kernels (W-CONV of the
- *     discriminator) the zero weight positions are never streamed.
- *     Skipping happens entirely in address generation.
+ * ZFOST is OST with zero-free scheduling (Fig. 12(b)) and the
+ * parity-grouped weight feed (Fig. 12(a)); both run on the shared
+ * output-stationary walk of sim/output_stationary.hh, which documents
+ * the two additions.
  */
 
 #ifndef GANACC_CORE_ZFOST_HH
 #define GANACC_CORE_ZFOST_HH
 
-#include "sim/arch.hh"
+#include "sim/output_stationary.hh"
 
 namespace ganacc {
 namespace core {
 
 /** The paper's zero-free output-stationary array. */
-class Zfost : public sim::Architecture
+class Zfost : public sim::OutputStationary
 {
   public:
     /** Weight feed order — the Fig. 12(a) design choice. */
@@ -43,28 +33,11 @@ class Zfost : public sim::Architecture
 
     explicit Zfost(sim::Unroll unroll,
                    WeightOrder order = WeightOrder::Reordered)
-        : sim::Architecture(order == WeightOrder::Reordered
-                                ? "ZFOST"
-                                : "ZFOST-raster",
-                            unroll),
-          order_(order) {}
-
-    int
-    numPes() const override
-    {
-        return unroll_.pOx * unroll_.pOy * unroll_.pOf;
-    }
-
-  protected:
-    sim::RunStats doRun(const sim::ConvSpec &spec,
-                        const tensor::Tensor *in, const tensor::Tensor *w,
-                        tensor::Tensor *out) const override;
-
-    bool fastStats(const sim::ConvSpec &spec,
-                   sim::RunStats &st) const override;
-
-  private:
-    WeightOrder order_;
+        : sim::OutputStationary(order == WeightOrder::Reordered
+                                    ? "ZFOST"
+                                    : "ZFOST-raster",
+                                unroll, /*zero_free=*/true,
+                                order == WeightOrder::Reordered) {}
 };
 
 } // namespace core

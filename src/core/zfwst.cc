@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "sim/closed_form.hh"
-#include "util/logging.hh"
 
 namespace ganacc {
 namespace core {
@@ -29,197 +28,162 @@ Zfwst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
     sim::ScheduleRecorder *const rec = schedRec();
     RunStats st;
 
-    const int z = spec.inZeroStride;
-    GANACC_ASSERT(z == 1 || spec.stride == 1,
-                  "stuffed input with strided streaming is not a GAN "
-                  "pattern: ", spec.describe());
+    for (const sim::ParityClass &cls : sim::parityClasses(spec, true)) {
+        if (cls.empty())
+            continue;
+        const int n_y = cls.y.count, n_x = cls.x.count;
+        // The class's effective kernel elements, row-major.
+        std::vector<std::pair<int, int>> eff;
+        for (int ky : cls.y.taps)
+            for (int kx : cls.x.taps)
+                eff.emplace_back(ky, kx);
+        const int n_chunks =
+            int((eff.size() + resident_cap - 1) / resident_cap);
 
-    for (int cy = 0; cy < z && cy < spec.oh; ++cy) {
-        for (int cx = 0; cx < z && cx < spec.ow; ++cx) {
-            const int n_y = (spec.oh - cy + z - 1) / z;
-            const int n_x = (spec.ow - cx + z - 1) / z;
-            // Effective kernel elements for this output class: not a
-            // structural kernel zero, and parity-compatible with the
-            // input stuffing pattern.
-            std::vector<std::pair<int, int>> eff;
-            for (int ky = 0; ky < spec.kh; ++ky) {
-                if (spec.kernelRowZero(ky))
-                    continue;
-                if (z > 1 && (cy + ky - spec.pad) % z != 0)
-                    continue;
-                for (int kx = 0; kx < spec.kw; ++kx) {
-                    if (spec.kernelColZero(kx))
-                        continue;
-                    if (z > 1 && (cx + kx - spec.pad) % z != 0)
-                        continue;
-                    eff.emplace_back(ky, kx);
-                }
-            }
-            if (eff.empty())
-                continue;
-            const int n_chunks =
-                int((eff.size() + resident_cap - 1) / resident_cap);
-
-            const std::uint64_t positions = std::uint64_t(n_y) * n_x;
-            for (int of0 = 0; of0 < spec.nof; of0 += unroll_.pOf) {
-                const int of_cnt = std::min(unroll_.pOf, spec.nof - of0);
-                // The ping-pong partial-result buffer window for this
-                // class/of-tile: NOT zero-initialized — the first
-                // chunk's writes create every cell, later passes
-                // read-modify-write, and the final pass's writes drain
-                // the window.
+        const std::uint64_t positions = std::uint64_t(n_y) * n_x;
+        for (int of0 = 0; of0 < spec.nof; of0 += unroll_.pOf) {
+            const int of_cnt = std::min(unroll_.pOf, spec.nof - of0);
+            // The ping-pong partial-result buffer window for this
+            // class/of-tile: NOT zero-initialized — the first
+            // chunk's writes create every cell, later passes
+            // read-modify-write, and the final pass's writes drain
+            // the window.
+            if (rec)
+                rec->onWindowBegin(
+                    positions * of_cnt *
+                        (spec.fourDimOutput ? std::uint64_t(spec.nif)
+                                            : 1),
+                    sim::WindowKind::AccumBuffer);
+            for (int chunk = 0; chunk < n_chunks; ++chunk) {
+                const int e0 = chunk * resident_cap;
+                const int e_cnt = std::min(
+                    resident_cap, int(eff.size()) - e0);
+                // Resident weights load once per pass per channel.
+                st.weightLoads += std::uint64_t(e_cnt) * of_cnt;
                 if (rec)
-                    rec->onWindowBegin(
-                        positions * of_cnt *
-                            (spec.fourDimOutput ? std::uint64_t(spec.nif)
-                                                : 1),
-                        sim::WindowKind::AccumBuffer);
-                for (int chunk = 0; chunk < n_chunks; ++chunk) {
-                    const int e0 = chunk * resident_cap;
-                    const int e_cnt = std::min(
-                        resident_cap, int(eff.size()) - e0);
-                    // Resident weights load once per pass per channel.
-                    st.weightLoads += std::uint64_t(e_cnt) * of_cnt;
-                    if (rec)
-                        rec->onPort(sim::SchedPort::Weight,
-                                    std::uint64_t(e_cnt) * of_cnt);
+                    rec->onPort(sim::SchedPort::Weight,
+                                std::uint64_t(e_cnt) * of_cnt);
 
-                    for (int c = 0; c < spec.nif; ++c) {
-                        bool first_out = true;
-                        for (int t_y = 0; t_y < n_y; ++t_y) {
-                            for (int t_x = 0; t_x < n_x; ++t_x) {
-                                // ---- one cycle: one output neuron
-                                // per channel via the adder tree ----
-                                st.cycles += 1;
-                                const int oy = cy + t_y * z;
-                                const int ox = cx + t_x * z;
-                                int eff_cnt = 0;
-                                for (int e = e0; e < e0 + e_cnt; ++e) {
-                                    const auto [ky, kx] = eff[e];
-                                    int iy = oy * spec.stride + ky -
-                                             spec.pad;
-                                    int ix = ox * spec.stride + kx -
-                                             spec.pad;
-                                    bool useful =
-                                        iy >= 0 && iy < spec.ih &&
-                                        ix >= 0 && ix < spec.iw &&
-                                        !spec.inputIsZero(iy, ix);
-                                    if (useful)
-                                        ++eff_cnt;
-                                    // Residual padding/zero slots in a
-                                    // chunk still occupy multiplier
-                                    // lanes; the fault hook may visit
-                                    // them.
-                                    if (functional &&
-                                        (useful ||
-                                         faultVisitsIneffectual())) {
-                                        float v = in->getPadded(
-                                            0, c, iy, ix);
-                                        for (int f = 0; f < of_cnt;
-                                             ++f) {
-                                            int of = of0 + f;
-                                            int wc =
-                                                spec.fourDimOutput
-                                                    ? 0
-                                                    : c;
-                                            float ww = w->get(
-                                                of, wc, ky, kx);
-                                            const sim::MacContext ctx{
+                for (int c = 0; c < spec.nif; ++c) {
+                    bool first_out = true;
+                    for (int t_y = 0; t_y < n_y; ++t_y) {
+                        for (int t_x = 0; t_x < n_x; ++t_x) {
+                            // ---- one cycle: one output neuron
+                            // per channel via the adder tree ----
+                            st.cycles += 1;
+                            const int oy = cls.y.first + t_y * cls.step;
+                            const int ox = cls.x.first + t_x * cls.step;
+                            int eff_cnt = 0;
+                            for (int e = e0; e < e0 + e_cnt; ++e) {
+                                const auto [ky, kx] = eff[e];
+                                int iy = oy * spec.stride + ky -
+                                         spec.pad;
+                                int ix = ox * spec.stride + kx -
+                                         spec.pad;
+                                bool useful =
+                                    iy >= 0 && iy < spec.ih &&
+                                    ix >= 0 && ix < spec.iw &&
+                                    !spec.inputIsZero(iy, ix);
+                                if (useful)
+                                    ++eff_cnt;
+                                // Residual padding/zero slots in a
+                                // chunk still occupy multiplier
+                                // lanes; the fault hook may visit
+                                // them.
+                                if (functional &&
+                                    (useful ||
+                                     faultVisitsIneffectual())) {
+                                    float v = in->getPadded(
+                                        0, c, iy, ix);
+                                    for (int f = 0; f < of_cnt; ++f)
+                                        mac(spec, *w, *out, v,
+                                            sim::MacContext{
                                                 (e - e0) * unroll_.pOf +
                                                     f,
-                                                of, c, oy, ox, ky, kx};
-                                            float p =
-                                                macProduct(v, ww, ctx);
-                                            if (spec.fourDimOutput)
-                                                out->ref(of, c, oy,
-                                                         ox) += p;
-                                            else
-                                                out->ref(0, of, oy,
-                                                         ox) += p;
-                                        }
-                                    }
+                                                of0 + f, c, oy, ox, ky,
+                                                kx});
                                 }
-                                st.effectiveMacs +=
-                                    std::uint64_t(eff_cnt) * of_cnt;
-                                st.ineffectualMacs +=
-                                    std::uint64_t(e_cnt - eff_cnt) *
-                                    of_cnt;
-                                st.idlePeSlots +=
-                                    std::uint64_t(n_pes) -
-                                    std::uint64_t(e_cnt) * of_cnt;
-                                // Register-array traffic: footprint on
-                                // the first output of a pass, then a
-                                // column shift per step.
-                                std::uint64_t in_words;
-                                if (first_out) {
-                                    in_words = std::uint64_t(e_cnt);
-                                    first_out = false;
-                                } else {
-                                    in_words = std::uint64_t(
-                                        std::min(e_cnt, unroll_.pKy));
-                                }
-                                st.inputLoads += in_words;
-                                // One adder-tree result per channel;
-                                // later passes accumulate through the
-                                // ping-pong partial-result buffer.
-                                st.outputWrites += std::uint64_t(of_cnt);
-                                const bool accumulating =
-                                    chunk > 0 ||
-                                    (!spec.fourDimOutput && c > 0);
+                            }
+                            st.effectiveMacs +=
+                                std::uint64_t(eff_cnt) * of_cnt;
+                            st.ineffectualMacs +=
+                                std::uint64_t(e_cnt - eff_cnt) *
+                                of_cnt;
+                            st.idlePeSlots +=
+                                std::uint64_t(n_pes) -
+                                std::uint64_t(e_cnt) * of_cnt;
+                            // Register-array traffic: footprint on
+                            // the first output of a pass, then a
+                            // column shift per step.
+                            std::uint64_t in_words;
+                            if (first_out) {
+                                in_words = std::uint64_t(e_cnt);
+                                first_out = false;
+                            } else {
+                                in_words = std::uint64_t(
+                                    std::min(e_cnt, unroll_.pKy));
+                            }
+                            st.inputLoads += in_words;
+                            // One adder-tree result per channel;
+                            // later passes accumulate through the
+                            // ping-pong partial-result buffer.
+                            st.outputWrites += std::uint64_t(of_cnt);
+                            const bool accumulating =
+                                chunk > 0 ||
+                                (!spec.fourDimOutput && c > 0);
+                            if (accumulating)
+                                st.outputReads +=
+                                    std::uint64_t(of_cnt);
+                            if (rec) {
+                                rec->onCycle();
+                                for (int e = 0; e < e_cnt; ++e)
+                                    rec->onLanes(e * unroll_.pOf,
+                                                 of_cnt);
+                                rec->onPort(sim::SchedPort::Input,
+                                            in_words);
+                                rec->onPort(
+                                    sim::SchedPort::OutputWrite,
+                                    std::uint64_t(of_cnt));
                                 if (accumulating)
-                                    st.outputReads +=
-                                        std::uint64_t(of_cnt);
-                                if (rec) {
-                                    rec->onCycle();
-                                    for (int e = 0; e < e_cnt; ++e)
-                                        rec->onLanes(e * unroll_.pOf,
-                                                     of_cnt);
-                                    rec->onPort(sim::SchedPort::Input,
-                                                in_words);
                                     rec->onPort(
-                                        sim::SchedPort::OutputWrite,
+                                        sim::SchedPort::OutputRead,
                                         std::uint64_t(of_cnt));
-                                    if (accumulating)
-                                        rec->onPort(
-                                            sim::SchedPort::OutputRead,
-                                            std::uint64_t(of_cnt));
-                                    const std::uint64_t cell =
-                                        ((spec.fourDimOutput
-                                              ? std::uint64_t(c)
-                                              : 0) *
-                                             positions +
-                                         std::uint64_t(t_y) * n_x + t_x) *
-                                        of_cnt;
-                                    if (accumulating)
-                                        rec->onCellRead(
-                                            cell, std::uint64_t(of_cnt));
-                                    rec->onCellWrite(
+                                const std::uint64_t cell =
+                                    ((spec.fourDimOutput
+                                          ? std::uint64_t(c)
+                                          : 0) *
+                                         positions +
+                                     std::uint64_t(t_y) * n_x + t_x) *
+                                    of_cnt;
+                                if (accumulating)
+                                    rec->onCellRead(
                                         cell, std::uint64_t(of_cnt));
-                                    // The final pass's writes are the
-                                    // drain: nothing reads this cell
-                                    // again inside the window.
-                                    if (chunk == n_chunks - 1 &&
-                                        (spec.fourDimOutput ||
-                                         c == spec.nif - 1))
-                                        rec->onDrain(
-                                            cell, std::uint64_t(of_cnt));
-                                }
+                                rec->onCellWrite(
+                                    cell, std::uint64_t(of_cnt));
+                                // The final pass's writes are the
+                                // drain: nothing reads this cell
+                                // again inside the window.
+                                if (chunk == n_chunks - 1 &&
+                                    (spec.fourDimOutput ||
+                                     c == spec.nif - 1))
+                                    rec->onDrain(
+                                        cell, std::uint64_t(of_cnt));
                             }
                         }
                     }
                 }
-                if (rec)
-                    rec->onWindowEnd();
             }
+            if (rec)
+                rec->onWindowEnd();
         }
     }
     return st;
 }
 
 bool
-Zfwst::fastStats(const ConvSpec &spec, RunStats &st) const
+Zfwst::scheduleModel(const ConvSpec &spec, sim::ScheduleModel &model) const
 {
-    st = sim::zfwstClosedForm(unroll_, spec);
+    model = sim::zfwstModel(unroll_, spec);
     return true;
 }
 

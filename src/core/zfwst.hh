@@ -41,13 +41,13 @@ class Zfwst : public sim::Architecture
         return unroll_.pKx * unroll_.pKy * unroll_.pOf;
     }
 
+    bool scheduleModel(const sim::ConvSpec &spec,
+                       sim::ScheduleModel &model) const override;
+
   protected:
     sim::RunStats doRun(const sim::ConvSpec &spec,
                         const tensor::Tensor *in, const tensor::Tensor *w,
                         tensor::Tensor *out) const override;
-
-    bool fastStats(const sim::ConvSpec &spec,
-                   sim::RunStats &st) const override;
 };
 
 } // namespace core

@@ -44,14 +44,18 @@ Architecture::run(const ConvSpec &spec, const tensor::Tensor *in,
         out->fill(0.0f);
     }
     // Engine dispatch: timing-only, fault-free jobs may take the
-    // closed-form fast path (bit-identical to the walk by contract;
+    // schedule model's fast path (bit-identical to the walk by contract;
     // the differential-fuzz parity suite keeps the contract honest).
     // Functional runs always walk — they produce real output data —
     // and so do recorded runs: a closed form has no cycles to narrate.
     RunStats stats;
     bool fast = false;
-    if (!functional && fastPathEnabled() && scheduleRecorder() == nullptr)
-        fast = fastStats(spec, stats);
+    if (!functional && fastPathEnabled() && scheduleRecorder() == nullptr) {
+        ScheduleModel model;
+        fast = scheduleModel(spec, model);
+        if (fast)
+            stats = model.stats;
+    }
     if (!fast) {
         if (ScheduleRecorder *rec = scheduleRecorder()) {
             rec->onJobBegin(numPes(), spec);

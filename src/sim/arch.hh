@@ -26,6 +26,8 @@
 namespace ganacc {
 namespace sim {
 
+struct ScheduleModel; // sim/closed_form.hh
+
 /**
  * Loop-unrolling factors (Table II notation). Each architecture reads
  * the fields relevant to its dataflow and ignores the rest.
@@ -98,6 +100,23 @@ class Architecture
 
     ScheduleRecorder *scheduleRecorder() const { return sched_rec_; }
 
+    /**
+     * The symbolic schedule model (sim/closed_form.hh): fill `model`
+     * with what a walk of this job counts and observes, and return
+     * true — or return false when this architecture has none. run()
+     * answers timing-only, fault-free runs from `model.stats` when the
+     * process-wide engine allows it (simEngine() != Walk); verify
+     * derives its bounds and schedule relations from the same model.
+     * Overrides must stay bit-identical to the walk;
+     * tests/test_differential_fuzz.cc and
+     * tests/test_schedule_shadow.cc enforce the parity.
+     */
+    virtual bool
+    scheduleModel(const ConvSpec &, ScheduleModel &) const
+    {
+        return false;
+    }
+
   protected:
     /**
      * The shared functional MAC path: every dataflow's inner loop
@@ -108,6 +127,25 @@ class Architecture
     macProduct(float a, float b, const MacContext &ctx) const
     {
         return fault_ ? fault_->onMac(ctx, a, b) : a * b;
+    }
+
+    /**
+     * One scheduled MAC of a functional walk: streamed input `v` times
+     * the kernel weight at (of, c, ky, kx) — four-dimension jobs index
+     * the kernel by `of` alone — through macProduct, accumulated into
+     * output (of, oy, ox), one plane per (of, c) for four-dimension
+     * jobs.
+     */
+    void
+    mac(const ConvSpec &spec, const tensor::Tensor &w, tensor::Tensor &out,
+        float v, const MacContext &ctx) const
+    {
+        if (spec.fourDimOutput)
+            out.ref(ctx.of, ctx.c, ctx.oy, ctx.ox) +=
+                macProduct(v, w.get(ctx.of, 0, ctx.ky, ctx.kx), ctx);
+        else
+            out.ref(0, ctx.of, ctx.oy, ctx.ox) +=
+                macProduct(v, w.get(ctx.of, ctx.c, ctx.ky, ctx.kx), ctx);
     }
 
     /** True when the functional walk must visit ineffectual scheduled
@@ -121,22 +159,6 @@ class Architecture
     virtual RunStats doRun(const ConvSpec &spec, const tensor::Tensor *in,
                            const tensor::Tensor *w,
                            tensor::Tensor *out) const = 0;
-
-    /**
-     * Closed-form fast path (sim/closed_form.hh): fill `st` with the
-     * exact RunStats a timing-only walk of this job would count and
-     * return true, or return false when this architecture has no
-     * closed form — run() then falls back to the cycle walk. Only
-     * consulted for timing-only, fault-free runs, and only when the
-     * process-wide engine allows it (simEngine() != Walk).
-     * Overrides must stay bit-identical to the walk on every counter;
-     * tests/test_differential_fuzz.cc enforces the parity.
-     */
-    virtual bool
-    fastStats(const ConvSpec &, RunStats &) const
-    {
-        return false;
-    }
 
     /** The armed schedule recorder, or nullptr (the default). Walks
      *  test this once per site; disarmed walks are untouched. */

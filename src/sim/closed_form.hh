@@ -12,19 +12,24 @@
  * per job instead of O(simulated cycles), which is what makes
  * LSUN-scale layers and 100x-larger DSE sweeps tractable.
  *
- * The cycle walks remain the golden reference. Each closed form is
- * required to match its walk *bit for bit* on every RunStats counter;
- * tests/test_differential_fuzz.cc enforces the parity on a fuzzed
- * corpus across all five dataflows (plus the NLR-vanilla and
- * ZFOST-raster ablation configurations), and verify/static_bounds
- * re-exposes the same formulas as the GA-BOUNDS-DIVERGE checker.
+ * Each dataflow has exactly one such derivation, a ScheduleModel
+ * function below, which walks the schedule's segments once and yields
+ * both the RunStats totals (the fast path) and the per-cycle peaks and
+ * accumulation windows verify/schedule_analysis proves hazards from.
+ *
+ * The cycle walks remain the golden reference. Each model is required
+ * to match its walk *bit for bit*: tests/test_differential_fuzz.cc
+ * enforces RunStats parity on a fuzzed corpus across all five
+ * dataflows (plus the NLR-vanilla and ZFOST-raster ablations), and
+ * tests/test_schedule_shadow.cc diffs the rest against a
+ * recorder-armed walk.
  *
  * Engine selection: Architecture::run() consults simEngine() and uses
  * the fast path for timing-only, fault-free runs when the concrete
- * architecture provides one (Architecture::fastStats). Functional
- * runs always walk — they produce real output data, which no closed
- * form can. Force the choice with GANACC_ENGINE=walk|fast|auto or
- * programmatically with setSimEngine().
+ * architecture provides a model (Architecture::scheduleModel).
+ * Functional runs always walk — they produce real output data, which
+ * no closed form can. Force the walk with GANACC_ENGINE=walk (or
+ * `auto`, the default) or programmatically with setSimEngine().
  */
 
 #ifndef GANACC_SIM_CLOSED_FORM_HH
@@ -45,13 +50,10 @@ enum class SimEngine
 {
     Auto, ///< fast path when the architecture has one (the default)
     Walk, ///< always the per-cycle walk (the golden reference)
-    Fast, ///< fast path when available, walk otherwise — today
-          ///< identical to Auto; exists so "forced on" reads
-          ///< symmetrically with "forced off" in scripts and CI
 };
 
 /** The process-wide engine. First use reads GANACC_ENGINE
- *  (walk|fast|auto); setSimEngine() overrides. Thread-safe. */
+ *  (walk|auto); setSimEngine() overrides. Thread-safe. */
 SimEngine simEngine();
 
 /** Override the process-wide engine (tests, benches, tools). */
@@ -84,34 +86,56 @@ class ScopedSimEngine
 };
 
 /**
- * Closed forms, one per dataflow, parameterized by the design knobs
- * that change the schedule. Each returns exactly the RunStats the
- * corresponding cycle walk counts for a timing-only run of `spec` —
- * the parity suite keeps "exactly" honest. All panic on the same
- * malformed-spec preconditions the walks assert.
+ * The symbolic model of one job's schedule: what a timing-only walk of
+ * the job counts (RunStats) and what a recorder-armed walk observes
+ * (per-cycle port and slot peaks, accumulation windows) — derived from
+ * the loop nest without stepping a cycle. One derivation per dataflow
+ * fills every field; the fast path reads `stats`, verify reads the
+ * rest.
+ */
+struct ScheduleModel
+{
+    RunStats stats;
+
+    std::uint64_t peakSlots = 0; ///< max lanes booked in one cycle
+    std::uint64_t peakWeightLoads = 0; ///< max words in one cycle
+    std::uint64_t peakInputLoads = 0;
+    std::uint64_t peakOutputReads = 0;
+    std::uint64_t peakOutputWrites = 0;
+
+    std::uint64_t windows = 0;        ///< accumulation windows opened
+    std::uint64_t cellsDrained = 0;   ///< cells covered by drain events
+    std::uint64_t maxWindowCells = 0; ///< the largest window's cells
+    std::uint64_t windowCapacity = 0; ///< cells available to hold it
+};
+
+/**
+ * The models, one per dataflow, parameterized by the design knobs
+ * that change the schedule. Each must match its cycle walk exactly:
+ * the parity and schedule-shadow suites keep "exactly" honest. All
+ * panic on the same malformed-spec preconditions the walks assert.
  */
 
 /** NLR; `zero_skip` selects the paper's improved dataflow (true) or
  *  the vanilla DianNao-style ablation that executes structural zeros
  *  as wasted cycles (false). */
-RunStats nlrClosedForm(const Unroll &u, const ConvSpec &s,
-                       bool zero_skip);
+ScheduleModel nlrModel(const Unroll &u, const ConvSpec &s, bool zero_skip);
 
 /** WST: resident kernel tile, one streamed input position per cycle. */
-RunStats wstClosedForm(const Unroll &u, const ConvSpec &s);
+ScheduleModel wstModel(const Unroll &u, const ConvSpec &s);
 
-/** OST: pinned output tile, raster-order weight feed. */
-RunStats ostClosedForm(const Unroll &u, const ConvSpec &s);
-
-/** ZFOST; `reordered_feed` selects the Fig. 12(a) parity-grouped
- *  weight feed (true) or the raster-order ablation (false), which
- *  reloads the input tile every cycle on strided jobs. */
-RunStats zfostClosedForm(const Unroll &u, const ConvSpec &s,
-                         bool reordered_feed);
+/** The output-stationary family: a pinned output tile per pass.
+ *  `zero_free` adds ZFOST's parity classes and kernel-zero filtering
+ *  (Fig. 12(b)); `reordered_feed` selects the parity-grouped weight
+ *  feed (Fig. 12(a)) over raster order, which reloads the input tile
+ *  every cycle on strided jobs. OST is (false, false), ZFOST (true,
+ *  true) and the ZFOST-raster ablation (true, false). */
+ScheduleModel outputStationaryModel(const Unroll &u, const ConvSpec &s,
+                                    bool zero_free, bool reordered_feed);
 
 /** ZFWST: resident chunks of effective kernel elements, one output
  *  neuron per cycle through the adder tree. */
-RunStats zfwstClosedForm(const Unroll &u, const ConvSpec &s);
+ScheduleModel zfwstModel(const Unroll &u, const ConvSpec &s);
 
 } // namespace sim
 } // namespace ganacc

@@ -141,6 +141,54 @@ countNonzeroCoords(int t0, int len, int stride, int k, int pad, int extent,
     return count;
 }
 
+int
+ParityClass::nonzeroRows(const ConvSpec &s, int t0, int len, int ky) const
+{
+    return countNonzeroCoords(t0, len, step * s.stride,
+                              y.first * s.stride + ky - s.pad, 0, s.ih,
+                              s.inZeroStride, s.inOrigH);
+}
+
+int
+ParityClass::nonzeroCols(const ConvSpec &s, int t0, int len, int kx) const
+{
+    return countNonzeroCoords(t0, len, step * s.stride,
+                              x.first * s.stride + kx - s.pad, 0, s.iw,
+                              s.inZeroStride, s.inOrigW);
+}
+
+std::vector<ParityClass>
+parityClasses(const ConvSpec &spec, bool zero_free)
+{
+    const int z = zero_free ? spec.inZeroStride : 1;
+    GANACC_ASSERT(z == 1 || spec.stride == 1,
+                  "stuffed input with strided streaming is not a GAN "
+                  "pattern: ", spec.describe());
+    // One axis of class offset `first`: its output count, and the taps
+    // that are not structural kernel zeros and meet the stuffing's
+    // parity (plain C++ `%`: negative remainders never match).
+    auto axis = [&](int first, int out_extent, int k_extent, bool row) {
+        ClassAxis a;
+        a.first = first;
+        a.count = (out_extent - first + z - 1) / z;
+        for (int k = 0; k < k_extent; ++k) {
+            if (zero_free &&
+                (row ? spec.kernelRowZero(k) : spec.kernelColZero(k)))
+                continue;
+            if ((first + k - spec.pad) % z != 0)
+                continue;
+            a.taps.push_back(k);
+        }
+        return a;
+    };
+    std::vector<ParityClass> classes;
+    for (int cy = 0; cy < z && cy < spec.oh; ++cy)
+        for (int cx = 0; cx < z && cx < spec.ow; ++cx)
+            classes.push_back({z, axis(cy, spec.oh, spec.kh, true),
+                               axis(cx, spec.ow, spec.kw, false)});
+    return classes;
+}
+
 Tensor
 makeStreamedInput(const ConvSpec &spec, util::Rng &rng)
 {

@@ -25,6 +25,7 @@
 #define GANACC_SIM_CONV_SPEC_HH
 
 #include <string>
+#include <vector>
 
 #include "tensor/tensor.hh"
 #include "util/random.hh"
@@ -99,6 +100,51 @@ struct ConvSpec
  */
 int countNonzeroCoords(int t0, int len, int stride, int k, int pad,
                        int extent, int zero_stride, int orig);
+
+/** One axis of an output parity class: the outputs first, first +
+ *  step, ... (count of them) and the kernel taps streamed for them. */
+struct ClassAxis
+{
+    int first = 0;
+    int count = 0;
+    std::vector<int> taps;
+};
+
+/**
+ * One output class of an output- or weight-stationary schedule.
+ *
+ * The zero-free dataflows (Fig. 12(b)) split the output map into
+ * inZeroStride^2 parity classes: outputs sharing a coordinate parity
+ * see the same stuffing pattern, so each class streams only the
+ * kernel taps whose input operand can be non-zero — and never a
+ * structural kernel zero. A dense schedule is the degenerate case:
+ * one class covering every output and streaming every tap.
+ */
+struct ParityClass
+{
+    int step = 1; ///< output spacing within the class
+    ClassAxis y;
+    ClassAxis x;
+
+    /** The class streams no kernel tap (and so schedules nothing). */
+    bool empty() const { return y.taps.empty() || x.taps.empty(); }
+
+    /** Outputs t in [t0, t0 + len) of this class's rows (columns)
+     *  whose input operand at kernel row ky (column kx) is in bounds
+     *  and structurally non-zero. */
+    int nonzeroRows(const ConvSpec &s, int t0, int len, int ky) const;
+    int nonzeroCols(const ConvSpec &s, int t0, int len, int kx) const;
+};
+
+/**
+ * The output classes of `spec` in schedule order (row-major over the
+ * class offsets), empty ones included. `zero_free` selects the parity
+ * classing with kernel-zero filtering; without it the result is the
+ * single dense class. Zero-free classing panics on a stuffed input
+ * streamed with stride > 1, which is not a GAN pattern.
+ */
+std::vector<ParityClass> parityClasses(const ConvSpec &spec,
+                                       bool zero_free);
 
 /** Random streamed input honouring the spec's zero structure,
  *  shaped (1, nif, ih, iw). */

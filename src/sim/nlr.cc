@@ -125,22 +125,13 @@ Nlr::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                                          ++c) {
                                         float v =
                                             in->getPadded(0, c, iy, ix);
-                                        for (int f = 0; f < of_cnt;
-                                             ++f) {
-                                            const int of = of0 + f;
-                                            out->ref(0, of, oy, ox) +=
-                                                macProduct(
-                                                    v,
-                                                    w->get(of, c, ky,
-                                                           kx),
-                                                    MacContext{
-                                                        (c - c0) *
-                                                                unroll_
-                                                                    .pOf +
-                                                            f,
-                                                        of, c, oy, ox,
-                                                        ky, kx});
-                                        }
+                                        for (int f = 0; f < of_cnt; ++f)
+                                            mac(spec, *w, *out, v,
+                                                MacContext{
+                                                    (c - c0) * unroll_.pOf +
+                                                        f,
+                                                    of0 + f, c, oy, ox, ky,
+                                                    kx});
                                     }
                                 }
                             }
@@ -185,14 +176,10 @@ Nlr::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                                     (in_bounds ||
                                      faultVisitsIneffectual())) {
                                     float v = in->getPadded(0, c, iy, ix);
-                                    for (int f = 0; f < of_cnt; ++f) {
-                                        const int of = of0 + f;
-                                        out->ref(of, c, oy, ox) +=
-                                            macProduct(
-                                                v, w->get(of, 0, ky, kx),
-                                                MacContext{f, of, c, oy,
-                                                           ox, ky, kx});
-                                    }
+                                    for (int f = 0; f < of_cnt; ++f)
+                                        mac(spec, *w, *out, v,
+                                            MacContext{f, of0 + f, c, oy,
+                                                       ox, ky, kx});
                                 }
                             }
                         }
@@ -207,9 +194,9 @@ Nlr::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
 }
 
 bool
-Nlr::fastStats(const ConvSpec &spec, RunStats &st) const
+Nlr::scheduleModel(const ConvSpec &spec, ScheduleModel &model) const
 {
-    st = nlrClosedForm(unroll_, spec, policy_ == ZeroPolicy::Skip);
+    model = nlrModel(unroll_, spec, policy_ == ZeroPolicy::Skip);
     return true;
 }
 

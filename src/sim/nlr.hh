@@ -47,12 +47,13 @@ class Nlr : public Architecture
         return unroll_.pIf * unroll_.pOf;
     }
 
+    bool scheduleModel(const ConvSpec &spec,
+                       ScheduleModel &model) const override;
+
   protected:
     RunStats doRun(const ConvSpec &spec, const tensor::Tensor *in,
                    const tensor::Tensor *w,
                    tensor::Tensor *out) const override;
-
-    bool fastStats(const ConvSpec &spec, RunStats &st) const override;
 
   private:
     ZeroPolicy policy_;

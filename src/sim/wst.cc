@@ -107,30 +107,15 @@ Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                                         (useful ||
                                          faultVisitsIneffectual())) {
                                         float v = in->get(0, c, iy, ix);
-                                        for (int f = 0; f < of_cnt;
-                                             ++f) {
-                                            int of = of0 + f;
-                                            int wc =
-                                                spec.fourDimOutput ? 0
-                                                                   : c;
-                                            float ww = w->get(of, wc,
-                                                              ky, kx);
-                                            const MacContext ctx{
-                                                ((ky - ky0) *
-                                                     unroll_.pKx +
-                                                 (kx - kx0)) *
-                                                        unroll_.pOf +
-                                                    f,
-                                                of, c, oy, ox, ky, kx};
-                                            float p =
-                                                macProduct(v, ww, ctx);
-                                            if (spec.fourDimOutput)
-                                                out->ref(of, c, oy,
-                                                         ox) += p;
-                                            else
-                                                out->ref(0, of, oy,
-                                                         ox) += p;
-                                        }
+                                        const int lane0 =
+                                            ((ky - ky0) * unroll_.pKx +
+                                             (kx - kx0)) *
+                                            unroll_.pOf;
+                                        for (int f = 0; f < of_cnt; ++f)
+                                            mac(spec, *w, *out, v,
+                                                MacContext{lane0 + f,
+                                                           of0 + f, c, oy,
+                                                           ox, ky, kx});
                                     }
                                 }
                             }
@@ -167,9 +152,9 @@ Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
 }
 
 bool
-Wst::fastStats(const ConvSpec &spec, RunStats &st) const
+Wst::scheduleModel(const ConvSpec &spec, ScheduleModel &model) const
 {
-    st = wstClosedForm(unroll_, spec);
+    model = wstModel(unroll_, spec);
     return true;
 }
 

@@ -35,12 +35,13 @@ class Wst : public Architecture
         return unroll_.pKx * unroll_.pKy * unroll_.pOf;
     }
 
+    bool scheduleModel(const ConvSpec &spec,
+                       ScheduleModel &model) const override;
+
   protected:
     RunStats doRun(const ConvSpec &spec, const tensor::Tensor *in,
                    const tensor::Tensor *w,
                    tensor::Tensor *out) const override;
-
-    bool fastStats(const ConvSpec &spec, RunStats &st) const override;
 };
 
 } // namespace sim

@@ -253,43 +253,21 @@ unrollDims(core::ArchKind kind, const Unroll &u, const ConvSpec &spec)
         dims.push_back({"ow", spec.ow, u.pOx});
         dims.push_back({"nof", spec.nof, u.pOf});
         break;
-      case core::ArchKind::ZFOST: {
-        const int z = spec.inZeroStride;
-        for (int cy = 0; cy < z && cy < spec.oh; ++cy)
-            for (int cx = 0; cx < z && cx < spec.ow; ++cx) {
-                dims.push_back(
-                    {"class rows", (spec.oh - cy + z - 1) / z, u.pOy});
-                dims.push_back(
-                    {"class cols", (spec.ow - cx + z - 1) / z, u.pOx});
-            }
+      case core::ArchKind::ZFOST:
+        for (const sim::ParityClass &cls : sim::parityClasses(spec, true)) {
+            dims.push_back({"class rows", cls.y.count, u.pOy});
+            dims.push_back({"class cols", cls.x.count, u.pOx});
+        }
         dims.push_back({"nof", spec.nof, u.pOf});
         break;
-      }
-      case core::ArchKind::ZFWST: {
-        const int cap = u.pKx * u.pKy;
-        const int z = spec.inZeroStride;
-        for (int cy = 0; cy < z && cy < spec.oh; ++cy)
-            for (int cx = 0; cx < z && cx < spec.ow; ++cx) {
-                int eff = 0;
-                for (int ky = 0; ky < spec.kh; ++ky) {
-                    if (spec.kernelRowZero(ky))
-                        continue;
-                    if (z > 1 && (cy + ky - spec.pad) % z != 0)
-                        continue;
-                    for (int kx = 0; kx < spec.kw; ++kx) {
-                        if (spec.kernelColZero(kx))
-                            continue;
-                        if (z > 1 && (cx + kx - spec.pad) % z != 0)
-                            continue;
-                        ++eff;
-                    }
-                }
-                if (eff > 0)
-                    dims.push_back({"class kernel elems", eff, cap});
-            }
+      case core::ArchKind::ZFWST:
+        for (const sim::ParityClass &cls : sim::parityClasses(spec, true))
+            if (!cls.empty())
+                dims.push_back({"class kernel elems",
+                                int(cls.y.taps.size() * cls.x.taps.size()),
+                                u.pKx * u.pKy});
         dims.push_back({"nof", spec.nof, u.pOf});
         break;
-      }
     }
     return dims;
 }

@@ -7,17 +7,10 @@
  * totals routed through mem::OnChipBuffer + mem::AccessTap), then the
  * per-dataflow symbolic relations, then the public checks.
  *
- * The symbolic derivations mirror sim/closed_form: totals are taken
- * from the proven closed forms, while the per-cycle *peaks* and the
- * accumulation-window population are derived here from the loop-nest
- * structure. Peak arguments rely on two facts about every paper
- * schedule: (1) maximal tiles exist — the first tile of each loop axis
- * has the full min(factor, bound) extent, and the loop nests are full
- * cross products, so maximal extents co-occur in some cycle; (2) pass-
- * boundary traffic (resident weight-tile loads, register drains)
- * attaches to a cycle that carries no other traffic on the same port,
- * because passes are at least one cycle long and the per-cycle port
- * sets are disjoint from the boundary port sets.
+ * The symbolic relations are read off each dataflow's schedule model
+ * (sim/closed_form), the same derivation the fast path and the static
+ * bounds use; this file only reshapes it, dispatching through the
+ * architecture itself (verify::staticModel).
  */
 
 #include "verify/schedule_analysis.hh"
@@ -31,12 +24,12 @@
 #include "mem/access_tap.hh"
 #include "mem/onchip_buffer.hh"
 #include "obs/metrics.hh"
-#include "sim/closed_form.hh"
 #include "sim/cnv.hh"
 #include "sim/rst.hh"
 #include "sim/schedule_recorder.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
+#include "verify/static_bounds.hh"
 
 namespace ganacc {
 namespace verify {
@@ -49,18 +42,6 @@ using sim::Unroll;
 namespace {
 
 using u64 = std::uint64_t;
-
-u64
-ceilDiv(u64 a, u64 b)
-{
-    return (a + b - 1) / b;
-}
-
-u64
-umin(int factor, int bound)
-{
-    return u64(std::min(factor, bound));
-}
 
 /** Location string for diagnostics. */
 std::string
@@ -342,310 +323,26 @@ class ShadowRecorder final : public sim::ScheduleRecorder
 // Symbolic relations.
 // ---------------------------------------------------------------------
 
-/** Copy the proven closed-form totals into a relation. */
+/** The relation a schedule model predicts; hazards are zero by
+ *  derivation — the loop nests are analyzed, not simulated. */
 ScheduleRelation
-fromClosedForm(const RunStats &st)
+relationOf(const sim::ScheduleModel &m)
 {
     ScheduleRelation r;
-    r.cycles = st.cycles;
-    r.scheduledSlots = st.effectiveMacs + st.ineffectualMacs;
-    r.totalWeightLoads = st.weightLoads;
-    r.totalInputLoads = st.inputLoads;
-    r.totalOutputReads = st.outputReads;
-    r.totalOutputWrites = st.outputWrites;
+    r.cycles = m.stats.cycles;
+    r.scheduledSlots = m.stats.effectiveMacs + m.stats.ineffectualMacs;
+    r.peakSlots = m.peakSlots;
+    r.peakWeightLoads = m.peakWeightLoads;
+    r.peakInputLoads = m.peakInputLoads;
+    r.peakOutputReads = m.peakOutputReads;
+    r.peakOutputWrites = m.peakOutputWrites;
+    r.totalWeightLoads = m.stats.weightLoads;
+    r.totalInputLoads = m.stats.inputLoads;
+    r.totalOutputReads = m.stats.outputReads;
+    r.totalOutputWrites = m.stats.outputWrites;
+    r.windows = m.windows;
+    r.cellsDrained = m.cellsDrained;
     return r;
-}
-
-ScheduleRelation
-nlrSchedule(const Unroll &u, const ConvSpec &s, bool zero_skip)
-{
-    ScheduleRelation r =
-        fromClosedForm(sim::nlrClosedForm(u, s, zero_skip));
-    r.windows = 1; // one job-wide write-through window
-    if (r.cycles == 0)
-        return r; // every position skipped: nothing ever scheduled
-    const u64 of_max = umin(u.pOf, s.nof);
-    if (!s.fourDimOutput) {
-        const u64 if_max = umin(u.pIf, s.nif);
-        r.peakSlots = if_max * of_max;
-        r.peakWeightLoads = if_max * of_max;
-        r.peakInputLoads = if_max;
-    } else {
-        // Input maps stream sequentially; the adder tree carries one.
-        r.peakSlots = of_max;
-        r.peakWeightLoads = of_max;
-        r.peakInputLoads = 1;
-    }
-    r.peakOutputReads = of_max;
-    r.peakOutputWrites = of_max;
-    return r;
-}
-
-/** Max over (kernel tile, streamed position) of valid in-tile kernel
- *  coordinates on one WST axis — the peak row (or column) fan-out of a
- *  broadcast cycle. */
-u64
-wstMaxAxisFanout(const ConvSpec &s, int k_extent, int pk, int in_extent,
-                 int out_extent)
-{
-    u64 best = 0;
-    for (int k0 = 0; k0 < k_extent; k0 += pk) {
-        const int k_cnt = std::min(pk, k_extent - k0);
-        for (int i = 0; i < in_extent; ++i) {
-            u64 cnt = 0;
-            for (int k = k0; k < k0 + k_cnt; ++k) {
-                const int n = i - k + s.pad;
-                if (n < 0 || n % s.stride != 0 ||
-                    n / s.stride >= out_extent)
-                    continue;
-                ++cnt;
-            }
-            best = std::max(best, cnt);
-        }
-    }
-    return best;
-}
-
-ScheduleRelation
-wstSchedule(const Unroll &u, const ConvSpec &s)
-{
-    ScheduleRelation r = fromClosedForm(sim::wstClosedForm(u, s));
-    r.windows = 1;
-    // WST always cycles: every pass streams the full input plane.
-    const u64 of_max = umin(u.pOf, s.nof);
-    r.peakInputLoads = 1;
-    // A resident tile load lands alone on a cycle's weight port —
-    // except when every pass is a single cycle (nif = ih = iw = 1):
-    // the first cycle then carries both the first pass's pended load
-    // and the second pass's boundary load.
-    r.peakWeightLoads = umin(u.pKy, s.kh) * umin(u.pKx, s.kw) * of_max;
-    if (s.nif == 1 && s.ih == 1 && s.iw == 1) {
-        u64 second = 0;
-        if (s.kw > u.pKx)
-            second = umin(u.pKy, s.kh) *
-                     u64(std::min(u.pKx, s.kw - u.pKx)) * of_max;
-        else if (s.kh > u.pKy)
-            second = u64(std::min(u.pKy, s.kh - u.pKy)) *
-                     umin(u.pKx, s.kw) * of_max;
-        else if (s.nof > u.pOf)
-            second = umin(u.pKy, s.kh) * umin(u.pKx, s.kw) *
-                     u64(std::min(u.pOf, s.nof - u.pOf));
-        r.peakWeightLoads += second;
-    }
-    const u64 rows = wstMaxAxisFanout(s, s.kh, u.pKy, s.ih, s.oh);
-    const u64 cols = wstMaxAxisFanout(s, s.kw, u.pKx, s.iw, s.ow);
-    r.peakSlots = rows * cols * of_max;
-    // Every contribution read-modify-writes a distinct partial sum.
-    r.peakOutputReads = r.peakSlots;
-    r.peakOutputWrites = r.peakSlots;
-    return r;
-}
-
-ScheduleRelation
-ostSchedule(const Unroll &u, const ConvSpec &s)
-{
-    ScheduleRelation r = fromClosedForm(sim::ostClosedForm(u, s));
-    const u64 of_max = umin(u.pOf, s.nof);
-    const u64 tile_max = umin(u.pOy, s.oh) * umin(u.pOx, s.ow);
-    const u64 per_tile_windows = s.fourDimOutput ? u64(s.nif) : 1;
-    r.windows = ceilDiv(u64(s.nof), u64(u.pOf)) *
-                ceilDiv(u64(s.oh), u64(u.pOy)) *
-                ceilDiv(u64(s.ow), u64(u.pOx)) * per_tile_windows;
-    // Each window's single drain covers the whole tile exactly once,
-    // so drains and output writes coincide.
-    r.cellsDrained = r.totalOutputWrites;
-    r.peakSlots = tile_max * of_max;
-    r.peakWeightLoads = of_max;
-    r.peakInputLoads = tile_max;
-    r.peakOutputReads = 0; // registers accumulate; nothing reads back
-    r.peakOutputWrites = tile_max * of_max;
-    return r;
-}
-
-/** Kernel coordinates of one axis a ZFOST/ZFWST parity class streams:
- *  not structural zeros and parity-compatible with the stuffing. */
-u64
-classAxisCount(const ConvSpec &s, int k_extent, bool row, int c, int z)
-{
-    u64 cnt = 0;
-    for (int k = 0; k < k_extent; ++k) {
-        if (row ? s.kernelRowZero(k) : s.kernelColZero(k))
-            continue;
-        if (z > 1 && (c + k - s.pad) % z != 0)
-            continue;
-        ++cnt;
-    }
-    return cnt;
-}
-
-ScheduleRelation
-zfostSchedule(const Unroll &u, const ConvSpec &s, bool reordered_feed)
-{
-    ScheduleRelation r =
-        fromClosedForm(sim::zfostClosedForm(u, s, reordered_feed));
-    const int z = s.inZeroStride;
-    const u64 of_max = umin(u.pOf, s.nof);
-    bool any_class = false;
-    for (int cy = 0; cy < z && cy < s.oh; ++cy) {
-        for (int cx = 0; cx < z && cx < s.ow; ++cx) {
-            if (classAxisCount(s, s.kh, true, cy, z) == 0 ||
-                classAxisCount(s, s.kw, false, cx, z) == 0)
-                continue; // class streams nothing: no cycles, no tiles
-            any_class = true;
-            const int n_y = (s.oh - cy + z - 1) / z;
-            const int n_x = (s.ow - cx + z - 1) / z;
-            const u64 tile_max = umin(u.pOy, n_y) * umin(u.pOx, n_x);
-            r.windows += ceilDiv(u64(s.nof), u64(u.pOf)) *
-                         ceilDiv(u64(n_y), u64(u.pOy)) *
-                         ceilDiv(u64(n_x), u64(u.pOx)) *
-                         (s.fourDimOutput ? u64(s.nif) : 1);
-            r.peakSlots = std::max(r.peakSlots, tile_max * of_max);
-            r.peakInputLoads = std::max(r.peakInputLoads, tile_max);
-            r.peakOutputWrites =
-                std::max(r.peakOutputWrites, tile_max * of_max);
-        }
-    }
-    if (any_class)
-        r.peakWeightLoads = of_max;
-    r.peakOutputReads = 0;
-    r.cellsDrained = r.totalOutputWrites;
-    return r;
-}
-
-ScheduleRelation
-zfwstSchedule(const Unroll &u, const ConvSpec &s)
-{
-    ScheduleRelation r = fromClosedForm(sim::zfwstClosedForm(u, s));
-    const int z = s.inZeroStride;
-    const u64 cap = u64(u.pKx) * u64(u.pKy);
-    const u64 of_max = umin(u.pOf, s.nof);
-    bool any_class = false;
-    bool any_accum = false;
-    // First two resident-load words of the walk's pass sequence, for
-    // the single-cycle-first-pass coalescing case (see below).
-    u64 first_n_eff = 0, first_positions = 0, second_load = 0;
-    for (int cy = 0; cy < z && cy < s.oh; ++cy) {
-        for (int cx = 0; cx < z && cx < s.ow; ++cx) {
-            const u64 n_eff = classAxisCount(s, s.kh, true, cy, z) *
-                              classAxisCount(s, s.kw, false, cx, z);
-            if (n_eff == 0)
-                continue;
-            const int n_y = (s.oh - cy + z - 1) / z;
-            const int n_x = (s.ow - cx + z - 1) / z;
-            const u64 e_max = std::min(cap, n_eff);
-            const u64 n_chunks = ceilDiv(n_eff, cap);
-            if (!any_class) {
-                first_n_eff = n_eff;
-                first_positions = u64(n_y) * u64(n_x);
-                // The second pass of the walk: the next chunk of this
-                // class, else this class again on the next of-tile,
-                // else the next class's first chunk (found below).
-                if (n_chunks > 1)
-                    second_load =
-                        std::min(cap, n_eff - cap) * of_max;
-                else if (s.nof > u.pOf)
-                    second_load =
-                        e_max * u64(std::min(u.pOf, s.nof - u.pOf));
-            } else if (second_load == 0) {
-                second_load = e_max * of_max;
-            }
-            any_class = true;
-            if (n_chunks > 1 || (!s.fourDimOutput && s.nif > 1))
-                any_accum = true;
-            r.windows += ceilDiv(u64(s.nof), u64(u.pOf));
-            // The final pass's writes drain every window cell once.
-            r.cellsDrained += u64(n_y) * u64(n_x) * u64(s.nof) *
-                              (s.fourDimOutput ? u64(s.nif) : 1);
-            r.peakSlots = std::max(r.peakSlots, e_max * of_max);
-            r.peakWeightLoads =
-                std::max(r.peakWeightLoads, e_max * of_max);
-            r.peakInputLoads = std::max(r.peakInputLoads, e_max);
-        }
-    }
-    // When the first pass is a single cycle (one channel, one output
-    // position), the pended first load and the second pass's boundary
-    // load coalesce onto the job's first cycle.
-    if (any_class && s.nif == 1 && first_positions == 1)
-        r.peakWeightLoads =
-            std::max(r.peakWeightLoads,
-                     std::min(cap, first_n_eff) * of_max + second_load);
-    if (any_class) {
-        r.peakOutputWrites = of_max;
-        if (any_accum)
-            r.peakOutputReads = of_max;
-    }
-    return r;
-}
-
-/** The largest accumulation window (cells) the schedule opens — the
- *  working set the register array / partial-sum buffer must hold. */
-u64
-staticMaxWindowCells(ArchKind kind, const Unroll &u, const ConvSpec &s)
-{
-    const u64 of_max = umin(u.pOf, s.nof);
-    const u64 job_cells = u64(s.nof) * u64(s.oh) * u64(s.ow) *
-                          (s.fourDimOutput ? u64(s.nif) : 1);
-    switch (kind) {
-      case ArchKind::NLR:
-      case ArchKind::WST:
-        return job_cells;
-      case ArchKind::OST:
-        return umin(u.pOy, s.oh) * umin(u.pOx, s.ow) * of_max;
-      case ArchKind::ZFOST: {
-        const int z = s.inZeroStride;
-        u64 best = 0;
-        for (int cy = 0; cy < z && cy < s.oh; ++cy)
-            for (int cx = 0; cx < z && cx < s.ow; ++cx) {
-                if (classAxisCount(s, s.kh, true, cy, z) == 0 ||
-                    classAxisCount(s, s.kw, false, cx, z) == 0)
-                    continue;
-                const int n_y = (s.oh - cy + z - 1) / z;
-                const int n_x = (s.ow - cx + z - 1) / z;
-                best = std::max(best, umin(u.pOy, n_y) *
-                                          umin(u.pOx, n_x) * of_max);
-            }
-        return best;
-      }
-      case ArchKind::ZFWST: {
-        const int z = s.inZeroStride;
-        u64 best = 0;
-        for (int cy = 0; cy < z && cy < s.oh; ++cy)
-            for (int cx = 0; cx < z && cx < s.ow; ++cx) {
-                if (classAxisCount(s, s.kh, true, cy, z) *
-                        classAxisCount(s, s.kw, false, cx, z) ==
-                    0)
-                    continue;
-                const u64 n_y = u64((s.oh - cy + z - 1) / z);
-                const u64 n_x = u64((s.ow - cx + z - 1) / z);
-                best = std::max(
-                    best, n_y * n_x * of_max *
-                              (s.fourDimOutput ? u64(s.nif) : 1));
-            }
-        return best;
-      }
-    }
-    util::panic("unknown arch kind");
-}
-
-/** The register-array / buffer capacity (cells) available to hold the
- *  largest window of this dataflow. */
-u64
-windowCapacityCells(ArchKind kind, const Unroll &u, const ConvSpec &s)
-{
-    const u64 job_cells = u64(s.nof) * u64(s.oh) * u64(s.ow) *
-                          (s.fourDimOutput ? u64(s.nif) : 1);
-    switch (kind) {
-      case ArchKind::NLR:
-      case ArchKind::WST:
-      case ArchKind::ZFWST:
-        // Partial sums live in the planned output working set.
-        return job_cells;
-      case ArchKind::OST:
-      case ArchKind::ZFOST:
-        // The output-stationary register array itself.
-        return u64(u.pOy) * u64(u.pOx) * u64(u.pOf);
-    }
-    util::panic("unknown arch kind");
 }
 
 /** Append hazard findings for any non-zero hazard counter. Returns
@@ -709,43 +406,17 @@ ScheduleRelation::str() const
     return os.str();
 }
 
-bool
-scheduleModelSupported(core::ArchKind)
-{
-    return true; // all five paper dataflows are modeled
-}
-
 ScheduleRelation
-staticNlrSchedule(const Unroll &unroll, const ConvSpec &spec,
-                  bool zero_skip)
+staticScheduleRelation(const sim::Architecture &arch, const ConvSpec &spec)
 {
-    return nlrSchedule(unroll, spec, zero_skip);
-}
-
-ScheduleRelation
-staticZfostSchedule(const Unroll &unroll, const ConvSpec &spec,
-                    bool reordered_feed)
-{
-    return zfostSchedule(unroll, spec, reordered_feed);
+    return relationOf(staticModel(arch, spec));
 }
 
 ScheduleRelation
 staticScheduleRelation(ArchKind kind, const Unroll &unroll,
                        const ConvSpec &spec)
 {
-    switch (kind) {
-      case ArchKind::NLR:
-        return nlrSchedule(unroll, spec, /*zero_skip=*/true);
-      case ArchKind::WST:
-        return wstSchedule(unroll, spec);
-      case ArchKind::OST:
-        return ostSchedule(unroll, spec);
-      case ArchKind::ZFOST:
-        return zfostSchedule(unroll, spec, /*reordered_feed=*/true);
-      case ArchKind::ZFWST:
-        return zfwstSchedule(unroll, spec);
-    }
-    util::panic("unknown arch kind");
+    return staticScheduleRelation(*core::makeArch(kind, unroll), spec);
 }
 
 ScheduleRelation
@@ -782,8 +453,8 @@ checkSchedule(ArchKind kind, const Unroll &unroll, const ConvSpec &spec,
         core::makeArch(kind, unroll);
     const u64 n_pes = u64(arch->numPes());
     const std::string where = jobWhere(arch->name(), spec);
-    const ScheduleRelation r =
-        staticScheduleRelation(kind, unroll, spec);
+    const sim::ScheduleModel model = staticModel(*arch, spec);
+    const ScheduleRelation r = relationOf(model);
 
     // (a) PE-slot conflict-freedom: the peak booking fits the array
     // and the total booking fits the cycle budget.
@@ -804,14 +475,13 @@ checkSchedule(ArchKind kind, const Unroll &unroll, const ConvSpec &spec,
     reportHazards(r, where, report);
 
     // (c) accesses in-bounds within the planned working set.
-    const u64 want = staticMaxWindowCells(kind, unroll, spec);
-    const u64 have = windowCapacityCells(kind, unroll, spec);
-    if (want > have)
+    if (model.maxWindowCells > model.windowCapacity)
         report.error(codes::kSchedOob, where,
                      "largest accumulation window (" +
-                         std::to_string(want) +
+                         std::to_string(model.maxWindowCells) +
                          " cells) exceeds the planned working set (" +
-                         std::to_string(have) + " cells)");
+                         std::to_string(model.windowCapacity) +
+                         " cells)");
 
     // (d) per-cycle port pressure within the budget (default: the
     // array width — one word per lane per port). The weight port is
@@ -857,10 +527,9 @@ bool
 checkScheduleAgainstShadow(ArchKind kind, const Unroll &unroll,
                            const ConvSpec &spec, Report &report)
 {
-    const ScheduleRelation predicted =
-        staticScheduleRelation(kind, unroll, spec);
     const std::unique_ptr<sim::Architecture> arch =
         core::makeArch(kind, unroll);
+    const ScheduleRelation predicted = staticScheduleRelation(*arch, spec);
     const std::string where = jobWhere(arch->name(), spec);
     const ScheduleRelation recorded =
         recordedScheduleRelation(*arch, spec);

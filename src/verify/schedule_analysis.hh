@@ -30,6 +30,11 @@
  * no closed-form schedule (value-dependent / left to the walk) and
  * are checked dynamically against a conservative envelope
  * (GA-SCHED-UNMODELED notes the gap).
+ *
+ * The totals, peaks and windows come from the same per-dataflow
+ * schedule model (sim/closed_form.hh) the fast path reads, so one
+ * derivation backs the fast path, the static bounds and this
+ * relation.
  */
 
 #ifndef GANACC_VERIFY_SCHEDULE_ANALYSIS_HH
@@ -104,31 +109,24 @@ struct PortBudget
     std::uint64_t output = 0; ///< applies to reads and writes each
 };
 
-/** True when `kind` has a closed-form schedule model (all five paper
- *  dataflows; the CNV/RST baselines do not). */
-bool scheduleModelSupported(core::ArchKind kind);
-
 /**
- * Predict the schedule relation symbolically: O(kernel area + parity
+ * Predict the schedule relation symbolically from the architecture's
+ * schedule model (sim/closed_form.hh): O(kernel area + parity
  * classes) per job, never walking cycles. Hazard counters are zero by
- * derivation — the loop nests are analyzed, not simulated. Panics on
- * the malformed-spec preconditions the walks assert (run checkConvSpec
- * first).
+ * derivation — the loop nests are analyzed, not simulated. Works for
+ * any configuration with a model, ablations included (NLR-vanilla,
+ * ZFOST-raster). Panics on the CNV/RST baselines, which have none,
+ * and on the malformed-spec preconditions the walks assert (run
+ * checkConvSpec first).
  */
+ScheduleRelation staticScheduleRelation(const sim::Architecture &arch,
+                                        const sim::ConvSpec &spec);
+
+/** The same for makeArch(kind, unroll): the canonical policies (NLR
+ *  zero-skip, ZFOST reordered feed). */
 ScheduleRelation staticScheduleRelation(core::ArchKind kind,
                                         const sim::Unroll &unroll,
                                         const sim::ConvSpec &spec);
-
-/** Ablation-aware variants: staticScheduleRelation uses the canonical
- *  policies (NLR zero-skip, ZFOST reordered feed) matching makeArch;
- *  these expose the ablation knob so the differential suite can shadow
- *  the NLR-vanilla and ZFOST-raster configurations too. */
-ScheduleRelation staticNlrSchedule(const sim::Unroll &unroll,
-                                   const sim::ConvSpec &spec,
-                                   bool zero_skip);
-ScheduleRelation staticZfostSchedule(const sim::Unroll &unroll,
-                                     const sim::ConvSpec &spec,
-                                     bool reordered_feed);
 
 /**
  * Record the concrete relation by walking the job with a recorder

@@ -1,21 +1,14 @@
 /**
  * @file
- * Closed-form performance bounds — the checker face of the fast-path
- * engine.
- *
- * The per-dataflow derivations used to live here; PR 6 promoted them
- * to sim/closed_form.{hh,cc} so Architecture::run() can use them as
- * its timing-only fast path. This translation unit keeps the
- * verify-level API: the ArchKind switch (with the default design
- * knobs makeArch() configures — ZFOST reordered weight feed, NLR zero
- * skipping) and the GA-BOUNDS-DIVERGE counter-by-counter cross-check.
+ * Closed-form performance bounds — the checker face of the schedule
+ * models in sim/closed_form: the one architecture-to-model dispatch
+ * and the GA-BOUNDS-DIVERGE counter-by-counter cross-check.
  */
 
 #include "verify/static_bounds.hh"
 
 #include <sstream>
 
-#include "sim/closed_form.hh"
 #include "util/logging.hh"
 
 namespace ganacc {
@@ -26,38 +19,20 @@ using sim::ConvSpec;
 using sim::RunStats;
 using sim::Unroll;
 
-bool
-staticBoundsSupported(ArchKind kind)
+sim::ScheduleModel
+staticModel(const sim::Architecture &arch, const ConvSpec &spec)
 {
-    switch (kind) {
-      case ArchKind::NLR:
-      case ArchKind::WST:
-      case ArchKind::OST:
-      case ArchKind::ZFOST:
-      case ArchKind::ZFWST:
-        return true;
-    }
-    return false;
+    spec.validate();
+    sim::ScheduleModel model;
+    const bool modeled = arch.scheduleModel(spec, model);
+    GANACC_ASSERT(modeled, arch.name(), " has no symbolic schedule model");
+    return model;
 }
 
 RunStats
 staticRunStats(ArchKind kind, const Unroll &unroll, const ConvSpec &spec)
 {
-    spec.validate();
-    switch (kind) {
-      case ArchKind::NLR:
-        return sim::nlrClosedForm(unroll, spec, /*zero_skip=*/true);
-      case ArchKind::WST:
-        return sim::wstClosedForm(unroll, spec);
-      case ArchKind::OST:
-        return sim::ostClosedForm(unroll, spec);
-      case ArchKind::ZFOST:
-        return sim::zfostClosedForm(unroll, spec,
-                                    /*reordered_feed=*/true);
-      case ArchKind::ZFWST:
-        return sim::zfwstClosedForm(unroll, spec);
-    }
-    util::panic("unknown arch kind");
+    return staticModel(*core::makeArch(kind, unroll), spec).stats;
 }
 
 bool

@@ -5,11 +5,12 @@
  * Every dataflow in the simulator walks its schedule cycle by cycle,
  * but each walk's counters are expressible in closed form: cycles,
  * PE-slot occupancy, and buffer accesses are sums over loop bounds
- * whose per-axis structure factorizes. staticRunStats() evaluates
- * those sums directly — no per-cycle loop over the output map — and is
- * required to match the cycle walk of makeArch(kind, unroll) *bit for
- * bit*. A divergence on any counter is, by construction, a bug in one
- * of the two derivations; the randomized property test in
+ * whose per-axis structure factorizes. staticRunStats() reads them
+ * from the dataflow's schedule model (sim/closed_form.hh) — no
+ * per-cycle loop over the output map — and is required to match the
+ * cycle walk of makeArch(kind, unroll) *bit for bit*. A divergence on
+ * any counter is, by construction, a bug in one of the two
+ * derivations; the randomized property test in
  * tests/test_static_bounds.cc enforces the equivalence, and
  * checkBoundsAgainstSim() reports divergence as GA-BOUNDS-DIVERGE.
  *
@@ -23,6 +24,8 @@
 #define GANACC_VERIFY_STATIC_BOUNDS_HH
 
 #include "core/unrolling.hh"
+#include "sim/arch.hh"
+#include "sim/closed_form.hh"
 #include "sim/conv_spec.hh"
 #include "sim/stats.hh"
 #include "verify/diagnostics.hh"
@@ -30,15 +33,20 @@
 namespace ganacc {
 namespace verify {
 
-/** True when `kind` has a closed-form model (all five dataflows). */
-bool staticBoundsSupported(core::ArchKind kind);
+/**
+ * The symbolic schedule model of `arch` on `spec` — the one place the
+ * verifier reaches a dataflow's derivation. Panics when the
+ * architecture has no model (the CNV/RST baselines) and on the same
+ * preconditions the simulator asserts (zero-free dataflows reject
+ * stuffed inputs streamed with stride > 1) — run checkConvSpec first.
+ */
+sim::ScheduleModel staticModel(const sim::Architecture &arch,
+                               const sim::ConvSpec &spec);
 
 /**
  * The exact RunStats makeArch(kind, unroll)->run(spec) would return,
  * derived without simulating (default configurations: ZFOST reordered
- * weight feed, NLR zero skipping). Panics on the same preconditions
- * the simulator asserts (ZFOST/ZFWST reject stuffed inputs streamed
- * with stride > 1) — run checkConvSpec first.
+ * weight feed, NLR zero skipping).
  */
 sim::RunStats staticRunStats(core::ArchKind kind,
                              const sim::Unroll &unroll,

@@ -17,7 +17,7 @@
 #include "sim/arch.hh"
 #include "sim/conv_spec.hh"
 #include "sim/nlr.hh"
-#include "sim/ost.hh"
+#include "sim/output_stationary.hh"
 #include "sim/phase.hh"
 #include "sim/wst.hh"
 #include "tensor/tensor.hh"

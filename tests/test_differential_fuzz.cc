@@ -17,11 +17,12 @@
 
 #include "core/zfost.hh"
 #include "core/zfwst.hh"
+#include "fuzz_specs.hh"
 #include "sim/arch.hh"
 #include "sim/closed_form.hh"
 #include "sim/conv_spec.hh"
 #include "sim/nlr.hh"
-#include "sim/ost.hh"
+#include "sim/output_stationary.hh"
 #include "sim/phase.hh"
 #include "sim/wst.hh"
 #include "stats_helpers.hh"
@@ -45,6 +46,7 @@ using sim::Wst;
 using tensor::approxEqual;
 using tensor::maxAbsDiff;
 using tensor::Tensor;
+using tests::randomSpec;
 using util::Rng;
 
 std::vector<std::unique_ptr<Architecture>>
@@ -68,55 +70,6 @@ fuzzArchs(Rng &rng)
         .pOf = rng.uniformInt(1, 3), .pKx = rng.uniformInt(2, 4),
         .pKy = rng.uniformInt(2, 4)}));
     return v;
-}
-
-/** Draw one random job over the three GAN convolution patterns. */
-ConvSpec
-randomSpec(Rng &rng)
-{
-    ConvSpec s;
-    s.label = "fuzz";
-    s.nif = rng.uniformInt(1, 4);
-    s.nof = rng.uniformInt(1, 4);
-    const int kind = rng.uniformInt(0, 2);
-    if (kind == 0) { // dense strided S-CONV
-        s.ih = s.iw = rng.uniformInt(5, 16);
-        s.kh = s.kw = rng.uniformInt(1, 5);
-        s.stride = rng.uniformInt(1, 3);
-        s.pad = rng.uniformInt(0, s.kh / 2);
-        s.oh = tensor::convOutDim(s.ih, s.kh, s.stride, s.pad);
-        s.ow = tensor::convOutDim(s.iw, s.kw, s.stride, s.pad);
-    } else if (kind == 1) { // zero-stuffed T-CONV
-        const int dense = rng.uniformInt(2, 7);
-        const int z = rng.uniformInt(2, 3);
-        const int extra = rng.uniformInt(0, z - 1);
-        s.inZeroStride = z;
-        s.inOrigH = s.inOrigW = dense;
-        s.ih = s.iw = (dense - 1) * z + 1 + extra;
-        s.kh = s.kw = rng.uniformInt(2, 5);
-        s.stride = 1;
-        s.pad = rng.uniformInt(0, s.kh - 1);
-        if (s.ih + 2 * s.pad < s.kh) // kernel overhangs padded input
-            return randomSpec(rng);
-        s.oh = tensor::convOutDim(s.ih, s.kh, 1, s.pad);
-        s.ow = tensor::convOutDim(s.iw, s.kw, 1, s.pad);
-    } else { // dilated-kernel W-CONV (4-D output)
-        s.ih = s.iw = rng.uniformInt(7, 16);
-        const int err = rng.uniformInt(2, 5);
-        s.kZeroStride = 2;
-        s.kOrigH = s.kOrigW = err;
-        s.kh = s.kw = (err - 1) * 2 + 1;
-        s.stride = 1;
-        s.pad = rng.uniformInt(0, 2);
-        s.fourDimOutput = true;
-        const int natural = s.ih + 2 * s.pad - s.kh + 1;
-        if (natural < 1)
-            return randomSpec(rng); // degenerate draw, redo
-        s.oh = s.ow = std::min(natural, rng.uniformInt(2, 6));
-    }
-    if (s.oh < 1 || s.ow < 1)
-        return randomSpec(rng);
-    return s;
 }
 
 /** Ten random jobs per shard; 20 shards = 200 fuzzed specs. */
@@ -270,7 +223,7 @@ TEST_P(FastPathParity, ClosedFormBitIdenticalToWalk)
                 walk = arch->run(s);
             }
             {
-                sim::ScopedSimEngine eng(sim::SimEngine::Fast);
+                sim::ScopedSimEngine eng(sim::SimEngine::Auto);
                 ASSERT_TRUE(sim::fastPathEnabled());
                 fast = arch->run(s);
             }

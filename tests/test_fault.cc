@@ -24,7 +24,7 @@
 #include "mem/offchip.hh"
 #include "mem/onchip_buffer.hh"
 #include "sim/conv_spec.hh"
-#include "sim/ost.hh"
+#include "sim/output_stationary.hh"
 #include "tensor/tensor.hh"
 #include "util/fixed_point.hh"
 #include "util/logging.hh"

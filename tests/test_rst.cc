@@ -11,7 +11,7 @@
 #include "core/zfost.hh"
 #include "sim/conv_spec.hh"
 #include "sim/nlr.hh"
-#include "sim/ost.hh"
+#include "sim/output_stationary.hh"
 #include "sim/rst.hh"
 #include "stats_helpers.hh"
 #include "tensor/tensor.hh"

@@ -197,7 +197,7 @@ TEST(ScheduleShadowAblations, VanillaNlrAndRasterZfostMatch)
             const ScheduleRelation got =
                 verify::recordedScheduleRelation(arch, s);
             const ScheduleRelation want =
-                verify::staticNlrSchedule(u, s, /*zero_skip=*/false);
+                verify::staticScheduleRelation(arch, s);
             EXPECT_EQ(want, got)
                 << "NLR-vanilla on " << s.describe() << "\npredicted {"
                 << want.str() << "} recorded {" << got.str() << "}";
@@ -208,8 +208,8 @@ TEST(ScheduleShadowAblations, VanillaNlrAndRasterZfostMatch)
             core::Zfost arch(u, core::Zfost::WeightOrder::Raster);
             const ScheduleRelation got =
                 verify::recordedScheduleRelation(arch, s);
-            const ScheduleRelation want = verify::staticZfostSchedule(
-                u, s, /*reordered_feed=*/false);
+            const ScheduleRelation want =
+                verify::staticScheduleRelation(arch, s);
             EXPECT_EQ(want, got)
                 << "ZFOST-raster on " << s.describe() << "\npredicted {"
                 << want.str() << "} recorded {" << got.str() << "}";
@@ -263,7 +263,7 @@ TEST(ScheduleShadow, RecorderForcesWalkEngine)
     s.pad = 1;
     s.oh = s.ow = 6;
 
-    sim::ScopedSimEngine eng(sim::SimEngine::Fast);
+    sim::ScopedSimEngine eng(sim::SimEngine::Auto);
     ASSERT_TRUE(sim::fastPathEnabled());
     auto arch = core::makeArch(ArchKind::OST, Unroll{.pOf = 2,
                                                      .pOx = 2,

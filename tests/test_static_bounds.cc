@@ -16,6 +16,7 @@
 
 #include "core/unrolling.hh"
 #include "gan/models.hh"
+#include "sim/closed_form.hh"
 #include "sim/phase.hh"
 #include "verify/legality.hh"
 #include "verify/static_bounds.hh"
@@ -106,6 +107,9 @@ void
 expectBoundsMatch(core::ArchKind kind, const sim::Unroll &u,
                   const sim::ConvSpec &spec)
 {
+    // Force the walk: under the default engine run() answers from the
+    // same model staticRunStats() reads, and the check would be vacuous.
+    sim::ScopedSimEngine walk(sim::SimEngine::Walk);
     auto arch = core::makeArch(kind, u);
     const sim::RunStats walked = arch->run(spec);
     const sim::RunStats derived = verify::staticRunStats(kind, u, spec);
@@ -126,13 +130,6 @@ expectBoundsMatch(core::ArchKind kind, const sim::Unroll &u,
               derived.totalSlots())
         << core::archKindName(kind) << " on " << spec.describe();
     EXPECT_EQ(derived.nPes, walked.nPes);
-}
-
-TEST(StaticBounds, AllDataflowsAreSupported)
-{
-    for (core::ArchKind kind : core::allArchKinds())
-        EXPECT_TRUE(verify::staticBoundsSupported(kind))
-            << core::archKindName(kind);
 }
 
 /** The property test: randomized specs, randomized unrollings. */

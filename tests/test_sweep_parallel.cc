@@ -14,7 +14,7 @@
 #include "core/zfost.hh"
 #include "core/zfwst.hh"
 #include "gan/models.hh"
-#include "sim/ost.hh"
+#include "sim/output_stationary.hh"
 #include "sim/rst.hh"
 #include "util/random.hh"
 
