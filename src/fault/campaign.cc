@@ -97,21 +97,26 @@ std::vector<std::vector<JobData>>
 buildRowJobs(const gan::GanModel &model, const CampaignOptions &opt)
 {
     std::vector<std::vector<JobData>> rows;
+    rows.reserve(std::size(kRows));
+    std::vector<JobData *> todo;
     for (std::size_t r = 0; r < std::size(kRows); ++r) {
-        std::vector<JobData> row;
         const auto jobs = sim::familyJobs(model, kRows[r].family);
+        std::vector<JobData> &row = rows.emplace_back(jobs.size());
         for (std::size_t j = 0; j < jobs.size(); ++j) {
-            JobData d;
-            d.spec = jobs[j];
-            d.key = std::uint64_t(r) * 101 + std::uint64_t(j);
-            util::Rng rng(mix64(opt.dataSeed ^ mix64(d.key)));
-            d.in = sim::makeStreamedInput(d.spec, rng);
-            d.w = sim::makeStreamedKernel(d.spec, rng);
-            d.ref = sim::genericConvRef(d.spec, d.in, d.w);
-            row.push_back(std::move(d));
+            row[j].spec = jobs[j];
+            row[j].key = std::uint64_t(r) * 101 + std::uint64_t(j);
+            todo.push_back(&row[j]);
         }
-        rows.push_back(std::move(row));
     }
+    // Each job's operands are seeded on its own (row, job) key alone,
+    // so building them on the pool gives the serial loop's tensors.
+    util::parallelFor(todo.size(), opt.jobs, [&](std::size_t i) {
+        JobData &d = *todo[i];
+        util::Rng rng(mix64(opt.dataSeed ^ mix64(d.key)));
+        d.in = sim::makeStreamedInput(d.spec, rng);
+        d.w = sim::makeStreamedKernel(d.spec, rng);
+        d.ref = sim::genericConvRef(d.spec, d.in, d.w);
+    });
     return rows;
 }
 

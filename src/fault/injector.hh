@@ -76,13 +76,26 @@ class FaultInjector final : public sim::MacFaultHook
     const FaultPlan &plan() const { return plan_; }
 
   private:
+    /** Buckets in the armed-site prefilter: 2^18 bits, 32 KB. */
+    static constexpr unsigned kBucketBits = 18;
+
     std::uint64_t latticeIndex(const sim::MacContext &ctx) const;
+    std::uint64_t bucketOf(std::uint64_t site) const;
     float flipProductBits(float product, std::uint64_t site) const;
 
     FaultPlan plan_;
-    sim::ConvSpec spec_; ///< geometry of the armed job
     bool haveJob_ = false;
+    /** Row-major lattice strides of (of, c, oy, ox, ky) for the armed
+     *  job; kx has stride 1. */
+    std::uint64_t stride_[5] = {};
     std::vector<std::uint64_t> armedSites_; ///< sorted, distinct
+    /**
+     * One bit per bucket of 2^bucketShift_ adjacent lattice sites, set
+     * iff the bucket holds an armed site. Most MACs are rejected by one
+     * load here; only a bucket hit pays the exact binary search.
+     */
+    std::vector<std::uint64_t> bucketMap_;
+    unsigned bucketShift_ = 0;
     Counters counters_;
 };
 

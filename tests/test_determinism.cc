@@ -9,13 +9,18 @@
  *  - the fault-injection campaign — the one subsystem that fans out
  *    over the thread pool — returns byte-identical cells for 1 worker
  *    and 8 workers, because all of its randomness is keyed on
- *    (seed, job, site), never on scheduling order.
+ *    (seed, job, site), never on scheduling order;
+ *  - a small campaign with every fault class armed reproduces a
+ *    captured per-cell golden bit for bit, so a faster injector or
+ *    campaign driver cannot silently change what it reports.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -201,6 +206,115 @@ TEST(Determinism, FaultCampaignIdenticalUnderAnyWorkerCount)
     for (const auto &cell : a.cells)
         armed += cell.mac.armed;
     EXPECT_GT(armed, 0u);
+}
+
+/** One campaign cell as captured from a reference run. */
+struct GoldenCell
+{
+    const char *row;
+    const char *arch;
+    std::uint64_t armed, fired, macsObserved, peHits, memFlips;
+    std::uint64_t outputRmseBits, memRmseBits; ///< IEEE-754 images
+};
+
+// The tiny campaign of FaultCampaignMatchesGolden, captured cell by
+// cell. The arming draw (std::uniform_int_distribution) and the
+// memory-flip seeds (std::hash) come from the standard library, so
+// these values hold for libstdc++ builds.
+constexpr GoldenCell kGoldenCampaign[] = {
+    {"D/ST", "NLR", 144, 144, 2112, 512, 9,
+     0x403f4bf1d0cde924ULL, 0x4026be3e38b84b88ULL},
+    {"D/ST", "NLR-skip", 144, 144, 2112, 512, 9,
+     0x403f4bf1d0cde924ULL, 0x402ec0fe8a33adfcULL},
+    {"D/ST", "WST", 144, 116, 1632, 18, 5,
+     0x40413c42732827f2ULL, 0x40268a2e8411c555ULL},
+    {"D/ST", "OST", 144, 144, 2112, 32, 2,
+     0x404214def7b7b8d9ULL, 0x3fff4048adf3a66eULL},
+    {"D/ST", "ZFOST", 144, 144, 2112, 32, 1,
+     0x404214def7b7b8d9ULL, 0x3fd68831214e1d2aULL},
+    {"D/ST", "ZFWST", 144, 144, 2112, 32, 0,
+     0x40428734465bc132ULL, 0x0000000000000000ULL},
+    {"G/ST", "NLR", 144, 144, 13312, 512, 29,
+     0x4044e21116e23b56ULL, 0x406344213cb21ca7ULL},
+    {"G/ST", "NLR-skip", 144, 125, 11392, 512, 16,
+     0x4043445ca6f13380ULL, 0x4063010945a827eeULL},
+    {"G/ST", "WST", 144, 34, 3280, 9, 9,
+     0x40362641a97c4191ULL, 0x4017f15b7e1447c6ULL},
+    {"G/ST", "OST", 144, 144, 13312, 144, 4,
+     0x4045e0910271488dULL, 0x40038b021355d100ULL},
+    {"G/ST", "ZFOST", 144, 108, 10240, 144, 1,
+     0x404269ffb755764aULL, 0x3f3db3202d8b76aaULL},
+    {"G/ST", "ZFWST", 144, 108, 10240, 288, 4,
+     0x4041fa4571911c02ULL, 0x4002a3e51ab0d4f0ULL},
+    {"Dw/W", "NLR", 96, 96, 3200, 784, 11,
+     0x403ee74d4377cfe6ULL, 0x402214f7f1195280ULL},
+    {"Dw/W", "NLR-skip", 96, 66, 1088, 256, 6,
+     0x403958e35baab98bULL, 0x4026ac02257fe2c4ULL},
+    {"Dw/W", "WST", 96, 90, 2768, 49, 10,
+     0x404274ec12aeed76ULL, 0x402bc044e13d07b1ULL},
+    {"Dw/W", "OST", 96, 96, 3200, 49, 1,
+     0x404373e4482ae24eULL, 0x3fd6a21672d7b636ULL},
+    {"Dw/W", "ZFOST", 96, 66, 1088, 16, 0,
+     0x40393c15a98c7514ULL, 0x0000000000000000ULL},
+    {"Dw/W", "ZFWST", 96, 66, 1088, 16, 0,
+     0x403ba0bccc23d0cbULL, 0x0000000000000000ULL},
+    {"Gw/W", "NLR", 96, 96, 12288, 2048, 46,
+     0x4035cfb6f321e132ULL, 0x40625aec04e1a95fULL},
+    {"Gw/W", "NLR-skip", 96, 70, 10368, 2048, 33,
+     0x4030115df85a6bf5ULL, 0x40453407fb0eaba0ULL},
+    {"Gw/W", "WST", 96, 35, 3216, 8, 6,
+     0x402b745e1b4eaaa2ULL, 0x40103c15f100e3caULL},
+    {"Gw/W", "OST", 96, 96, 12288, 128, 4,
+     0x40359d507de73e20ULL, 0x4027f461ed5a397aULL},
+    {"Gw/W", "ZFOST", 96, 58, 9216, 512, 3,
+     0x402b3feea8519251ULL, 0x400ec02fc21f3f49ULL},
+    {"Gw/W", "ZFWST", 96, 58, 9216, 128, 1,
+     0x402b0277960d49c3ULL, 0x3f754ed440000000ULL},
+};
+
+std::uint64_t
+doubleBits(double v)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+TEST(Determinism, FaultCampaignMatchesGolden)
+{
+    // Transient sites, one stuck lane and memory flips, so every
+    // branch of the per-MAC hook and of the cell's flip path runs.
+    fault::FaultPlan plan;
+    plan.seed = 0x60d;
+    plan.transient.sitesPerJob = 48;
+    plan.transient.bits = 2;
+    fault::PeFault pe;
+    pe.lane = 1;
+    pe.kind = fault::PeFault::Kind::StuckAtValue;
+    pe.value = 0.5f;
+    plan.peFaults.push_back(pe);
+    plan.memory.flipProbPerAccess = 1e-3;
+
+    fault::CampaignOptions opt;
+    opt.jobs = 4;
+    const fault::CampaignResult res =
+        fault::runResilienceCampaign(tinyModel(), plan, opt);
+
+    ASSERT_EQ(res.cells.size(), std::size(kGoldenCampaign));
+    for (std::size_t i = 0; i < res.cells.size(); ++i) {
+        const fault::CellResult &got = res.cells[i];
+        const GoldenCell &want = kGoldenCampaign[i];
+        const std::string at = got.row + " " + got.arch;
+        EXPECT_EQ(got.row, want.row) << i;
+        EXPECT_EQ(got.arch, want.arch) << i;
+        EXPECT_EQ(got.mac.armed, want.armed) << at;
+        EXPECT_EQ(got.mac.fired, want.fired) << at;
+        EXPECT_EQ(got.mac.macsObserved, want.macsObserved) << at;
+        EXPECT_EQ(got.mac.peHits, want.peHits) << at;
+        EXPECT_EQ(got.memFlips, want.memFlips) << at;
+        EXPECT_EQ(doubleBits(got.outputRmse), want.outputRmseBits) << at;
+        EXPECT_EQ(doubleBits(got.memRmse), want.memRmseBits) << at;
+    }
 }
 
 } // namespace

@@ -11,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bitset>
 #include <cstring>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "core/zfost.hh"
 #include "fault/campaign.hh"
@@ -259,6 +262,118 @@ TEST(FaultInjector, StuckAtZeroPeMatchesAnalyticRmse)
                 ++zeroed;
             }
     EXPECT_EQ(zeroed, 4);
+}
+
+/** A spec whose only role is its dense lattice: nof*nif*oh*ow*kh*kw. */
+ConvSpec
+latticeSpec(int nof, int nif, int oh, int ow, int kh, int kw)
+{
+    ConvSpec s;
+    s.label = "lattice";
+    s.nof = nof;
+    s.nif = nif;
+    s.oh = oh;
+    s.ow = ow;
+    s.kh = kh;
+    s.kw = kw;
+    s.ih = oh + kh - 1;
+    s.iw = ow + kw - 1;
+    return s;
+}
+
+/**
+ * Call onMac once at every dense lattice point, in row-major order,
+ * with unit operands; return the lattice indices whose product is not
+ * 1 — the sites the injector fired on.
+ */
+std::vector<std::uint64_t>
+firedLatticePoints(fault::FaultInjector &injector, const ConvSpec &s)
+{
+    std::vector<std::uint64_t> fired;
+    std::uint64_t index = 0;
+    sim::MacContext ctx;
+    for (ctx.of = 0; ctx.of < s.nof; ++ctx.of)
+        for (ctx.c = 0; ctx.c < s.nif; ++ctx.c)
+            for (ctx.oy = 0; ctx.oy < s.oh; ++ctx.oy)
+                for (ctx.ox = 0; ctx.ox < s.ow; ++ctx.ox)
+                    for (ctx.ky = 0; ctx.ky < s.kh; ++ctx.ky)
+                        for (ctx.kx = 0; ctx.kx < s.kw; ++ctx.kx) {
+                            if (injector.onMac(ctx, 1.0f, 1.0f) != 1.0f)
+                                fired.push_back(index);
+                            ++index;
+                        }
+    return fired;
+}
+
+TEST(FaultInjector, PrefilterFiresExactlyTheArmedSites)
+{
+    // Lattices below one bitmap word, at and just past the 2^18
+    // buckets (bucket shift 0 and 1), and well past them with a
+    // non-power-of-two size (shift 3) and a power of two (shift 4).
+    // One injector walks them all, so each job also re-arms over the
+    // previous job's buckets.
+    const ConvSpec specs[] = {
+        latticeSpec(1, 1, 2, 2, 3, 3),      // 36
+        latticeSpec(4, 4, 16, 16, 8, 8),    // 2^18
+        latticeSpec(5, 1, 1, 1, 1, 52429),  // 2^18 + 1
+        latticeSpec(7, 9, 33, 35, 5, 3),    // 1,091,475
+        latticeSpec(16, 16, 32, 32, 4, 4),  // 2^22
+        latticeSpec(1, 1, 2, 2, 3, 3),
+    };
+    fault::FaultPlan plan;
+    plan.seed = 17;
+    plan.transient.sitesPerJob = 256;
+    fault::FaultInjector injector(plan);
+
+    std::uint64_t job = 0;
+    for (const ConvSpec &s : specs) {
+        const fault::FaultInjector::Counters before = injector.counters();
+        injector.beginJob(s, job++);
+        const std::vector<std::uint64_t> fired =
+            firedLatticePoints(injector, s);
+        const fault::FaultInjector::Counters &after = injector.counters();
+
+        const std::uint64_t armed = after.armed - before.armed;
+        EXPECT_EQ(armed, std::min<std::uint64_t>(256, s.denseMacs()))
+            << s.denseMacs();
+        EXPECT_EQ(after.fired - before.fired, armed) << s.denseMacs();
+        EXPECT_EQ(fired.size(), armed) << s.denseMacs();
+        EXPECT_EQ(after.macsObserved - before.macsObserved,
+                  s.denseMacs());
+    }
+}
+
+TEST(FaultInjector, ArmsLargeSiteCountsInTheDrawOrder)
+{
+    const ConvSpec s = latticeSpec(16, 16, 32, 32, 4, 4); // 2^22
+    fault::FaultPlan plan;
+    plan.seed = 23;
+
+    // A large count arms in well under a second and fires every site.
+    plan.transient.sitesPerJob = 100000;
+    fault::FaultInjector large(plan);
+    large.beginJob(s, 2);
+    EXPECT_EQ(large.counters().armed, 100000u);
+    EXPECT_EQ(firedLatticePoints(large, s).size(), 100000u);
+    EXPECT_EQ(large.counters().fired, 100000u);
+
+    // The accepted sites are the distinct draws in draw order, exactly
+    // as a linear scan over the accepted list dedupes them.
+    plan.transient.sitesPerJob = 4000;
+    Rng rng(fault::mix64(plan.seed ^ fault::mix64(2 + 1)));
+    std::uniform_int_distribution<std::uint64_t> dist(0,
+                                                      s.denseMacs() - 1);
+    std::vector<std::uint64_t> want;
+    while (want.size() < 4000) {
+        const std::uint64_t site = dist(rng.engine());
+        if (std::find(want.begin(), want.end(), site) == want.end())
+            want.push_back(site);
+    }
+    std::sort(want.begin(), want.end());
+
+    fault::FaultInjector injector(plan);
+    injector.beginJob(s, 2);
+    EXPECT_EQ(firedLatticePoints(injector, s), want);
 }
 
 // ---------------------------------------------------------------------
