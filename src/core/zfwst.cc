@@ -26,6 +26,7 @@ Zfwst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
     const int n_pes = numPes();
     const int resident_cap = unroll_.pKx * unroll_.pKy;
     sim::ScheduleRecorder *const rec = schedRec();
+    MacPath path(faultHook());
     RunStats st;
 
     for (const sim::ParityClass &cls : sim::parityClasses(spec, true)) {
@@ -90,19 +91,11 @@ Zfwst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                                 // chunk still occupy multiplier
                                 // lanes; the fault hook may visit
                                 // them.
-                                if (functional &&
-                                    (useful ||
-                                     faultVisitsIneffectual())) {
-                                    float v = in->getPadded(
-                                        0, c, iy, ix);
-                                    for (int f = 0; f < of_cnt; ++f)
-                                        mac(spec, *w, *out, v,
-                                            sim::MacContext{
-                                                (e - e0) * unroll_.pOf +
-                                                    f,
-                                                of0 + f, c, oy, ox, ky,
-                                                kx});
-                                }
+                                if (functional && path.visits(useful))
+                                    macRow(path, spec, *w, *out,
+                                           in->getPadded(0, c, iy, ix),
+                                           useful, (e - e0) * unroll_.pOf,
+                                           of0, of_cnt, c, oy, ox, ky, kx);
                             }
                             st.effectiveMacs +=
                                 std::uint64_t(eff_cnt) * of_cnt;

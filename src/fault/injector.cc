@@ -6,7 +6,6 @@
 #include "fault/injector.hh"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "util/fixed_point.hh"
@@ -16,29 +15,41 @@
 namespace ganacc {
 namespace fault {
 
-FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan))
+FaultInjector::FaultInjector(FaultPlan plan)
+    : plan_(std::move(plan)),
+      rowMap_(std::size_t(1) << (kBucketBits - 6))
 {
     for (const auto &f : plan_.peFaults)
         GANACC_ASSERT(f.lane >= 0, "PE fault lane must be >= 0");
+    // flipProductBits draws `bits` distinct bits of a 16-bit word.
+    GANACC_ASSERT(plan_.transient.bits >= 1 && plan_.transient.bits <= 16,
+                  "transient.bits must be in [1, 16]");
+    GANACC_ASSERT(plan_.transient.sitesPerJob >= 0,
+                  "transient.sitesPerJob must be >= 0");
+    filter_.mask = (std::uint64_t(1) << kBucketBits) - 1;
+    filter_.bits = rowMap_.data();
+    filter_.quietMacs = &counters_.macsObserved;
 }
 
 void
 FaultInjector::beginJob(const sim::ConvSpec &spec,
                         std::uint64_t job_index)
 {
+    // Unmark the previous job's rows — cheaper than clearing 32 KB —
+    // while its strides still locate them.
+    for (const std::uint64_t site : armedSites_)
+        markRow(site, false);
+    armedSites_.clear();
+
     haveJob_ = true;
     // Row-major order over (of, c, oy, ox, ky, kx) — the same
-    // factorization ConvSpec::denseMacs() counts.
-    stride_[4] = std::uint64_t(spec.kw);
-    stride_[3] = stride_[4] * std::uint64_t(spec.kh);
-    stride_[2] = stride_[3] * std::uint64_t(spec.ow);
-    stride_[1] = stride_[2] * std::uint64_t(spec.oh);
-    stride_[0] = stride_[1] * std::uint64_t(spec.nif);
-
-    // Unmark the previous job's buckets: cheaper than clearing 32 KB.
-    for (const std::uint64_t site : armedSites_)
-        bucketMap_[bucketOf(site) >> 6] = 0;
-    armedSites_.clear();
+    // factorization ConvSpec::denseMacs() counts. A row drops `of`.
+    std::uint64_t *const stride = filter_.stride;
+    stride[3] = std::uint64_t(spec.kw);
+    stride[2] = stride[3] * std::uint64_t(spec.kh);
+    stride[1] = stride[2] * std::uint64_t(spec.ow);
+    stride[0] = stride[1] * std::uint64_t(spec.oh);
+    ofStride_ = stride[0] * std::uint64_t(spec.nif);
 
     const std::uint64_t dense = spec.denseMacs();
     const std::uint64_t want = std::min(
@@ -46,50 +57,64 @@ FaultInjector::beginJob(const sim::ConvSpec &spec,
     if (want == 0)
         return;
 
+    // An open-addressed set at most a quarter full: it dedupes the draw
+    // and answers onMac's exact test in about one probe.
+    unsigned set_bits = 2;
+    while (std::uint64_t(1) << set_bits < 4 * want)
+        ++set_bits;
+    armedSet_.assign(std::size_t(1) << set_bits, kNoSite);
+    armedSetShift_ = 64 - set_bits;
+
     // The arming draw is keyed on (seed, job index) alone so every
     // architecture sees the identical upset set for this job. The set
     // only dedupes; the accepted sequence is the plain draw order.
     util::Rng rng(mix64(plan_.seed ^ mix64(job_index + 1)));
     std::uniform_int_distribution<std::uint64_t> dist(0, dense - 1);
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(std::size_t(want));
     armedSites_.reserve(std::size_t(want));
     while (armedSites_.size() < std::size_t(want)) {
         const std::uint64_t site = dist(rng.engine());
-        if (seen.insert(site).second)
+        std::uint64_t &slot = armedSlot(site);
+        if (slot == kNoSite) {
+            slot = site;
             armedSites_.push_back(site);
+        }
     }
-    std::sort(armedSites_.begin(), armedSites_.end());
     counters_.armed += want;
-
-    // Widen the buckets until the dense lattice fits in 2^kBucketBits.
-    bucketShift_ = 0;
-    while (((dense - 1) >> bucketShift_) >> kBucketBits != 0)
-        ++bucketShift_;
-    bucketMap_.resize(std::size_t(1) << (kBucketBits - 6));
-    for (const std::uint64_t site : armedSites_) {
-        const std::uint64_t bucket = bucketOf(site);
-        bucketMap_[bucket >> 6] |= std::uint64_t(1) << (bucket & 63);
-    }
+    for (const std::uint64_t site : armedSites_)
+        markRow(site, true);
 }
 
 std::uint64_t
 FaultInjector::latticeIndex(const sim::MacContext &ctx) const
 {
-    return std::uint64_t(ctx.of) * stride_[0] +
-           std::uint64_t(ctx.c) * stride_[1] +
-           std::uint64_t(ctx.oy) * stride_[2] +
-           std::uint64_t(ctx.ox) * stride_[3] +
-           std::uint64_t(ctx.ky) * stride_[4] + std::uint64_t(ctx.kx);
+    const std::uint64_t *const stride = filter_.stride;
+    return std::uint64_t(ctx.of) * ofStride_ +
+           std::uint64_t(ctx.c) * stride[0] +
+           std::uint64_t(ctx.oy) * stride[1] +
+           std::uint64_t(ctx.ox) * stride[2] +
+           std::uint64_t(ctx.ky) * stride[3] + std::uint64_t(ctx.kx);
 }
 
-std::uint64_t
-FaultInjector::bucketOf(std::uint64_t site) const
+void
+FaultInjector::markRow(std::uint64_t site, bool on)
 {
-    // The mask keeps a coordinate outside the lattice in range; such a
-    // site is never armed, so the exact search rejects it.
-    return (site >> bucketShift_) &
-           ((std::uint64_t(1) << kBucketBits) - 1);
+    const std::uint64_t bucket =
+        (site % ofStride_) & filter_.mask;
+    std::uint64_t &word = rowMap_[bucket >> 6];
+    const std::uint64_t bit = std::uint64_t(1) << (bucket & 63);
+    word = on ? word | bit : word & ~bit;
+}
+
+std::uint64_t &
+FaultInjector::armedSlot(std::uint64_t site)
+{
+    // Fibonacci hashing, then linear probing to the site or a hole.
+    const std::size_t mask = armedSet_.size() - 1;
+    std::size_t i =
+        std::size_t((site * 0x9E3779B97F4A7C15ULL) >> armedSetShift_);
+    while (armedSet_[i] != site && armedSet_[i] != kNoSite)
+        i = (i + 1) & mask;
+    return armedSet_[i];
 }
 
 float
@@ -122,12 +147,14 @@ FaultInjector::onMac(const sim::MacContext &ctx, float a, float b)
     ++counters_.macsObserved;
     float product = a * b;
 
-    if (!armedSites_.empty()) {
+    // A caller that presents every MAC (a stuck-lane plan, CNV, RST)
+    // has most of them rejected by the row bit. A coordinate outside
+    // the lattice lands in some bucket through the mask; it is never
+    // armed, so the exact test rejects it.
+    if (!armedSites_.empty() &&
+        filter_.loud(ctx.c, ctx.oy, ctx.ox, ctx.ky, ctx.kx)) {
         const std::uint64_t site = latticeIndex(ctx);
-        const std::uint64_t bucket = bucketOf(site);
-        if ((bucketMap_[bucket >> 6] >> (bucket & 63) & 1) != 0 &&
-            std::binary_search(armedSites_.begin(), armedSites_.end(),
-                               site)) {
+        if (armedSlot(site) == site) {
             ++counters_.fired;
             product = flipProductBits(product, site);
         }
@@ -152,6 +179,14 @@ FaultInjector::visitIneffectual() const
     // baselines clock through zero-operand slots too — those slots
     // must be observed or a stuck lane would look artificially benign.
     return !plan_.peFaults.empty() || plan_.transient.sitesPerJob > 0;
+}
+
+const sim::MacRowFilter *
+FaultInjector::rowFilter() const
+{
+    // A stuck lane alters products on any row, so such a plan sees
+    // every MAC; before beginJob() onMac must still reach its assert.
+    return haveJob_ && plan_.peFaults.empty() ? &filter_ : nullptr;
 }
 
 } // namespace fault

@@ -18,6 +18,10 @@
  *
  * Permanent PE faults (stuck-at lanes) apply to every product the
  * faulty physical lane produces, effectual or not.
+ *
+ * A plan without PE faults publishes a sim::MacRowFilter per job: only
+ * the operand rows that hold an armed site reach onMac, and the walks
+ * settle every other row in bulk (docs/fault_injection.md).
  */
 
 #ifndef GANACC_FAULT_INJECTOR_HH
@@ -38,6 +42,9 @@ class FaultInjector final : public sim::MacFaultHook
 {
   public:
     explicit FaultInjector(FaultPlan plan);
+    // The published row filter points into this object.
+    FaultInjector(const FaultInjector &) = delete;
+    FaultInjector &operator=(const FaultInjector &) = delete;
 
     /**
      * Arm the transient sites for one job. `job_index` is the caller's
@@ -50,13 +57,16 @@ class FaultInjector final : public sim::MacFaultHook
     // sim::MacFaultHook
     float onMac(const sim::MacContext &ctx, float a, float b) override;
     bool visitIneffectual() const override;
+    const sim::MacRowFilter *rowFilter() const override;
 
     /** Lifetime counters, accumulated across beginJob() calls. */
     struct Counters
     {
         std::uint64_t armed = 0; ///< transient sites armed
         std::uint64_t fired = 0; ///< armed sites actually scheduled
-        std::uint64_t macsObserved = 0; ///< products seen by the hook
+        /** Scheduled products the hook covers, whether presented to
+         *  onMac or settled in bulk by the row filter. */
+        std::uint64_t macsObserved = 0;
         std::uint64_t peHits = 0; ///< products altered by a stuck lane
 
         std::uint64_t masked() const { return armed - fired; }
@@ -76,26 +86,37 @@ class FaultInjector final : public sim::MacFaultHook
     const FaultPlan &plan() const { return plan_; }
 
   private:
-    /** Buckets in the armed-site prefilter: 2^18 bits, 32 KB. */
+    /** Buckets in the row bitmap: 2^18 bits, 32 KB. */
     static constexpr unsigned kBucketBits = 18;
 
     std::uint64_t latticeIndex(const sim::MacContext &ctx) const;
-    std::uint64_t bucketOf(std::uint64_t site) const;
+    /** The armed-set slot holding `site`, or the empty slot where it
+     *  would go. */
+    std::uint64_t &armedSlot(std::uint64_t site);
+    /** Set or clear the row-bitmap bit of an armed site's bucket. */
+    void markRow(std::uint64_t site, bool on);
     float flipProductBits(float product, std::uint64_t site) const;
 
     FaultPlan plan_;
     bool haveJob_ = false;
-    /** Row-major lattice strides of (of, c, oy, ox, ky) for the armed
-     *  job; kx has stride 1. */
-    std::uint64_t stride_[5] = {};
-    std::vector<std::uint64_t> armedSites_; ///< sorted, distinct
+    /** Lattice stride of `of` for the armed job: the row count. The
+     *  row strides of (c, oy, ox, ky) live in filter_. */
+    std::uint64_t ofStride_ = 0;
+    std::vector<std::uint64_t> armedSites_; ///< distinct, in draw order
+    /** Hash set of armedSites_: 2^(64 - armedSetShift_) slots, empty
+     *  ones holding kNoSite. */
+    std::vector<std::uint64_t> armedSet_;
+    unsigned armedSetShift_ = 64;
+    static constexpr std::uint64_t kNoSite = ~std::uint64_t(0);
     /**
-     * One bit per bucket of 2^bucketShift_ adjacent lattice sites, set
-     * iff the bucket holds an armed site. Most MACs are rejected by one
-     * load here; only a bucket hit pays the exact binary search.
+     * One bit per bucket of operand rows (row r in bucket r mod 2^18),
+     * set iff the bucket holds an armed site. The walks skip onMac for
+     * every other row; onMac itself rejects most MACs of a caller that
+     * presents every one (a stuck-lane plan, CNV, RST) with the same
+     * load, and only a bucket hit pays the exact test.
      */
-    std::vector<std::uint64_t> bucketMap_;
-    unsigned bucketShift_ = 0;
+    std::vector<std::uint64_t> rowMap_;
+    sim::MacRowFilter filter_;
     Counters counters_;
 };
 

@@ -24,6 +24,18 @@ Unroll::str() const
     return os.str();
 }
 
+void
+Architecture::hookedRow(MacFaultHook &hook, const RowOperands &row, float v,
+                        MacContext ctx, int of_cnt)
+{
+    const int lane0 = ctx.lane, of0 = ctx.of;
+    for (int f = 0; f < of_cnt; ++f) {
+        ctx.lane = lane0 + f;
+        ctx.of = of0 + f;
+        row.acc[f * row.accStep] += hook.onMac(ctx, v, row.k[f * row.kStep]);
+    }
+}
+
 RunStats
 Architecture::run(const ConvSpec &spec, const tensor::Tensor *in,
                   const tensor::Tensor *w, tensor::Tensor *out) const

@@ -129,25 +129,6 @@ class Architecture
         return fault_ ? fault_->onMac(ctx, a, b) : a * b;
     }
 
-    /**
-     * One scheduled MAC of a functional walk: streamed input `v` times
-     * the kernel weight at (of, c, ky, kx) — four-dimension jobs index
-     * the kernel by `of` alone — through macProduct, accumulated into
-     * output (of, oy, ox), one plane per (of, c) for four-dimension
-     * jobs.
-     */
-    void
-    mac(const ConvSpec &spec, const tensor::Tensor &w, tensor::Tensor &out,
-        float v, const MacContext &ctx) const
-    {
-        if (spec.fourDimOutput)
-            out.ref(ctx.of, ctx.c, ctx.oy, ctx.ox) +=
-                macProduct(v, w.get(ctx.of, 0, ctx.ky, ctx.kx), ctx);
-        else
-            out.ref(0, ctx.of, ctx.oy, ctx.ox) +=
-                macProduct(v, w.get(ctx.of, ctx.c, ctx.ky, ctx.kx), ctx);
-    }
-
     /** True when the functional walk must visit ineffectual scheduled
      *  slots so the hook can corrupt their (zero) products. */
     bool
@@ -155,6 +136,106 @@ class Architecture
     {
         return fault_ != nullptr && fault_->visitIneffectual();
     }
+
+    /**
+     * The MAC path of one functional walk, built from faultHook() when
+     * the walk starts: the hook, its row filter and visitIneffectual(),
+     * read once. Quiet rows are tallied here and added to the filter's
+     * counter when the path goes out of scope.
+     */
+    class MacPath
+    {
+      public:
+        explicit MacPath(MacFaultHook *hook) : hook_(hook)
+        {
+            if (hook_ == nullptr)
+                return;
+            ineffectual_ = hook_->visitIneffectual();
+            if (const MacRowFilter *f = hook_->rowFilter()) {
+                filter_ = *f;
+                filtered_ = true;
+            }
+        }
+        ~MacPath()
+        {
+            if (quiet_ != 0)
+                *filter_.quietMacs += quiet_;
+        }
+        MacPath(const MacPath &) = delete;
+        MacPath &operator=(const MacPath &) = delete;
+
+        /** True when a row with this effectuality must reach macRow. */
+        bool visits(bool useful) const { return useful || ineffectual_; }
+
+      private:
+        friend class Architecture;
+
+        MacFaultHook *hook_;
+        bool ineffectual_ = false; ///< visit ineffectual slots
+        bool filtered_ = false;    ///< false: present every MAC
+        MacRowFilter filter_;
+        std::uint64_t quiet_ = 0;  ///< MACs of quiet rows
+    };
+
+    /** One operand row's accumulators and kernel weights: strided runs
+     *  over `of`, starting at of0. */
+    struct RowOperands
+    {
+        float *acc;
+        std::size_t accStep;
+        const float *k;
+        std::size_t kStep;
+
+        RowOperands(const ConvSpec &spec, const tensor::Tensor &w,
+                    tensor::Tensor &out, int of0, int c, int oy, int ox,
+                    int ky, int kx)
+        {
+            // Four-dimension jobs index the kernel by `of` alone and
+            // keep one output plane per (of, c).
+            const bool four = spec.fourDimOutput;
+            const tensor::Shape4 &os = out.shape(), &ks = w.shape();
+            acc = out.data() + (four ? os.offset(of0, c, oy, ox)
+                                     : os.offset(0, of0, oy, ox));
+            accStep = std::size_t(os.d2) * os.d3 * (four ? os.d1 : 1);
+            k = w.data() + ks.offset(of0, four ? 0 : c, ky, kx);
+            kStep = std::size_t(ks.d1) * ks.d2 * ks.d3;
+        }
+    };
+
+    /**
+     * One scheduled operand row: streamed input `v` times the `of_cnt`
+     * kernel weights of output maps [of0, of0 + of_cnt) at (c, ky, kx),
+     * on physical lanes lane0 + f. Call only when path.visits(useful).
+     * A row the filter marks quiet skips the hook: an ineffectual one
+     * adds ±0 on finite operands, which never changes an accumulator
+     * that starts at +0, so it is not multiplied at all.
+     */
+    void
+    macRow(MacPath &path, const ConvSpec &spec, const tensor::Tensor &w,
+           tensor::Tensor &out, float v, bool useful, int lane0, int of0,
+           int of_cnt, int c, int oy, int ox, int ky, int kx) const
+    {
+        if (path.hook_ != nullptr) {
+            if (!path.filtered_ || path.filter_.loud(c, oy, ox, ky, kx)) {
+                hookedRow(*path.hook_,
+                          RowOperands(spec, w, out, of0, c, oy, ox, ky, kx),
+                          v, MacContext{lane0, of0, c, oy, ox, ky, kx},
+                          of_cnt);
+                return;
+            }
+            path.quiet_ += std::uint64_t(of_cnt);
+        }
+        if (!useful)
+            return;
+        const RowOperands row(spec, w, out, of0, c, oy, ox, ky, kx);
+        for (int f = 0; f < of_cnt; ++f)
+            row.acc[f * row.accStep] += v * row.k[f * row.kStep];
+    }
+
+    /** macRow's hooked path: every MAC of the row through onMac; `ctx`
+     *  holds the row's first lane and output map. */
+    static void hookedRow(MacFaultHook &hook, const RowOperands &row,
+                          float v, MacContext ctx, int of_cnt);
 
     virtual RunStats doRun(const ConvSpec &spec, const tensor::Tensor *in,
                            const tensor::Tensor *w,

@@ -36,6 +36,7 @@ Nlr::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
     const bool functional = in != nullptr;
     const int n_pes = numPes();
     ScheduleRecorder *const rec = schedRec();
+    MacPath path(faultHook());
     RunStats st;
 
     // Partial sums live in the global output buffer, zero-initialized;
@@ -118,21 +119,13 @@ Nlr::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                                 // multipliers, so the fault hook visits
                                 // them too; their fault-free product is
                                 // zero.
-                                if (functional &&
-                                    (in_bounds ||
-                                     faultVisitsIneffectual())) {
-                                    for (int c = c0; c < c0 + if_cnt;
-                                         ++c) {
-                                        float v =
-                                            in->getPadded(0, c, iy, ix);
-                                        for (int f = 0; f < of_cnt; ++f)
-                                            mac(spec, *w, *out, v,
-                                                MacContext{
-                                                    (c - c0) * unroll_.pOf +
-                                                        f,
-                                                    of0 + f, c, oy, ox, ky,
-                                                    kx});
-                                    }
+                                if (functional && path.visits(in_bounds)) {
+                                    for (int c = c0; c < c0 + if_cnt; ++c)
+                                        macRow(path, spec, *w, *out,
+                                               in->getPadded(0, c, iy, ix),
+                                               in_bounds,
+                                               (c - c0) * unroll_.pOf, of0,
+                                               of_cnt, c, oy, ox, ky, kx);
                                 }
                             }
                         } else {
@@ -172,15 +165,11 @@ Nlr::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                                     st.ineffectualMacs += active;
                                 st.idlePeSlots +=
                                     std::uint64_t(n_pes) - active;
-                                if (functional &&
-                                    (in_bounds ||
-                                     faultVisitsIneffectual())) {
-                                    float v = in->getPadded(0, c, iy, ix);
-                                    for (int f = 0; f < of_cnt; ++f)
-                                        mac(spec, *w, *out, v,
-                                            MacContext{f, of0 + f, c, oy,
-                                                       ox, ky, kx});
-                                }
+                                if (functional && path.visits(in_bounds))
+                                    macRow(path, spec, *w, *out,
+                                           in->getPadded(0, c, iy, ix),
+                                           in_bounds, 0, of0, of_cnt, c, oy,
+                                           ox, ky, kx);
                             }
                         }
                     }

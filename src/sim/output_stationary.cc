@@ -21,6 +21,7 @@ OutputStationary::doRun(const ConvSpec &spec, const Tensor *in,
     const bool functional = in != nullptr;
     const int n_pes = numPes();
     ScheduleRecorder *const rec = schedRec();
+    MacPath path(faultHook());
     // A raster feed on a strided job loses the register array's shift
     // alignment and reloads the whole tile every cycle (Fig. 7(b)).
     const bool shifts = reordered_feed_ || spec.stride == 1;
@@ -109,8 +110,6 @@ OutputStationary::doRun(const ConvSpec &spec, const Tensor *in,
                                 // but are still scheduled on the tile's
                                 // multipliers, so the fault hook may
                                 // ask to see them.
-                                const bool want_ineff =
-                                    faultVisitsIneffectual();
                                 for (int dy = 0; dy < ty_cnt; ++dy)
                                     for (int dx = 0; dx < tx_cnt; ++dx) {
                                         const int oy =
@@ -124,16 +123,13 @@ OutputStationary::doRun(const ConvSpec &spec, const Tensor *in,
                                             oy * spec.stride + ky - spec.pad,
                                             ox * spec.stride + kx -
                                                 spec.pad);
-                                        if (v == 0.0f && !want_ineff)
-                                            continue;
-                                        const int lane0 =
-                                            (dy * unroll_.pOx + dx) *
-                                            unroll_.pOf;
-                                        for (int f = 0; f < of_cnt; ++f)
-                                            mac(spec, *w, *out, v,
-                                                MacContext{lane0 + f,
-                                                           of0 + f, c, oy,
-                                                           ox, ky, kx});
+                                        if (path.visits(v != 0.0f))
+                                            macRow(path, spec, *w, *out, v,
+                                                   v != 0.0f,
+                                                   (dy * unroll_.pOx + dx) *
+                                                       unroll_.pOf,
+                                                   of0, of_cnt, c, oy, ox,
+                                                   ky, kx);
                                     }
                             }
                         }

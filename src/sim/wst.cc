@@ -22,6 +22,7 @@ Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
     const bool functional = in != nullptr;
     const int n_pes = numPes();
     ScheduleRecorder *const rec = schedRec();
+    MacPath path(faultHook());
     RunStats st;
 
     const int ktiles_y = (spec.kh + unroll_.pKy - 1) / unroll_.pKy;
@@ -103,20 +104,14 @@ Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                                     // Zero-operand slots still occupy
                                     // the multipliers, so visit them
                                     // for the fault hook on request.
-                                    if (functional &&
-                                        (useful ||
-                                         faultVisitsIneffectual())) {
-                                        float v = in->get(0, c, iy, ix);
-                                        const int lane0 =
-                                            ((ky - ky0) * unroll_.pKx +
-                                             (kx - kx0)) *
-                                            unroll_.pOf;
-                                        for (int f = 0; f < of_cnt; ++f)
-                                            mac(spec, *w, *out, v,
-                                                MacContext{lane0 + f,
-                                                           of0 + f, c, oy,
-                                                           ox, ky, kx});
-                                    }
+                                    if (functional && path.visits(useful))
+                                        macRow(path, spec, *w, *out,
+                                               in->get(0, c, iy, ix), useful,
+                                               ((ky - ky0) * unroll_.pKx +
+                                                (kx - kx0)) *
+                                                   unroll_.pOf,
+                                               of0, of_cnt, c, oy, ox, ky,
+                                               kx);
                                 }
                             }
                             st.effectiveMacs +=

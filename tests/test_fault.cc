@@ -14,20 +14,26 @@
 #include <algorithm>
 #include <bitset>
 #include <cstring>
+#include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/zfost.hh"
+#include "core/zfwst.hh"
 #include "fault/campaign.hh"
 #include "fault/fault_plan.hh"
 #include "fault/injector.hh"
 #include "fault/mem_faults.hh"
+#include "fuzz_specs.hh"
 #include "gan/models.hh"
 #include "mem/offchip.hh"
 #include "mem/onchip_buffer.hh"
 #include "sim/conv_spec.hh"
+#include "sim/nlr.hh"
 #include "sim/output_stationary.hh"
+#include "sim/wst.hh"
 #include "tensor/tensor.hh"
 #include "util/fixed_point.hh"
 #include "util/logging.hh"
@@ -38,9 +44,12 @@ namespace {
 
 using namespace ganacc;
 using core::Zfost;
+using core::Zfwst;
 using sim::ConvSpec;
+using sim::Nlr;
 using sim::Ost;
 using sim::Unroll;
+using sim::Wst;
 using tensor::Tensor;
 using util::Rng;
 
@@ -305,25 +314,59 @@ firedLatticePoints(fault::FaultInjector &injector, const ConvSpec &s)
     return fired;
 }
 
+/**
+ * Expect the injector's row filter to mark exactly the buckets that
+ * hold one of `sites` (lattice indices) and nothing else: a bit left
+ * over from an earlier job would send a quiet row through onMac.
+ */
+void
+expectRowBitsExactly(const fault::FaultInjector &injector,
+                     const ConvSpec &s,
+                     const std::vector<std::uint64_t> &sites)
+{
+    const sim::MacRowFilter *filter = injector.rowFilter();
+    ASSERT_NE(filter, nullptr);
+    // Operand rows: the lattice points without `of`.
+    const std::uint64_t rows =
+        std::uint64_t(s.nif) * s.oh * s.ow * s.kh * s.kw;
+    const std::uint64_t buckets = filter->mask + 1;
+    EXPECT_EQ(buckets, std::uint64_t(1) << 18);
+
+    std::set<std::uint64_t> want;
+    for (const std::uint64_t site : sites)
+        want.insert((site % rows) & filter->mask);
+    std::size_t set_bits = 0;
+    for (std::uint64_t i = 0; i < buckets / 64; ++i)
+        set_bits += std::bitset<64>(filter->bits[i]).count();
+    EXPECT_EQ(set_bits, want.size()) << rows;
+    for (const std::uint64_t b : want)
+        EXPECT_NE(filter->bits[b >> 6] >> (b & 63) & 1, 0u) << rows;
+}
+
 TEST(FaultInjector, PrefilterFiresExactlyTheArmedSites)
 {
-    // Lattices below one bitmap word, at and just past the 2^18
-    // buckets (bucket shift 0 and 1), and well past them with a
-    // non-power-of-two size (shift 3) and a power of two (shift 4).
+    // Row lattices below one bitmap word, below and at the 2^18
+    // buckets (one row per bucket), and past them (rows share buckets,
+    // non-power-of-two and power-of-two counts), then a job with
+    // nothing to arm (no `of`, so an empty dense lattice).
     // One injector walks them all, so each job also re-arms over the
-    // previous job's buckets.
+    // previous job's rows.
     const ConvSpec specs[] = {
-        latticeSpec(1, 1, 2, 2, 3, 3),      // 36
-        latticeSpec(4, 4, 16, 16, 8, 8),    // 2^18
-        latticeSpec(5, 1, 1, 1, 1, 52429),  // 2^18 + 1
-        latticeSpec(7, 9, 33, 35, 5, 3),    // 1,091,475
-        latticeSpec(16, 16, 32, 32, 4, 4),  // 2^22
+        latticeSpec(1, 1, 2, 2, 3, 3),      // 36 rows
+        latticeSpec(4, 4, 16, 16, 8, 8),    // 2^16 rows
+        latticeSpec(5, 1, 1, 1, 1, 52429),  // 52,429 rows
+        latticeSpec(7, 9, 33, 35, 5, 3),    // 155,925 rows
+        latticeSpec(16, 16, 32, 32, 4, 4),  // 2^18 rows
+        latticeSpec(2, 5, 63, 64, 4, 4),    // 322,560 rows
+        latticeSpec(3, 16, 32, 32, 8, 8),   // 2^20 rows
+        latticeSpec(0, 16, 32, 32, 8, 8),   // nothing armed
         latticeSpec(1, 1, 2, 2, 3, 3),
     };
     fault::FaultPlan plan;
     plan.seed = 17;
     plan.transient.sitesPerJob = 256;
     fault::FaultInjector injector(plan);
+    EXPECT_EQ(injector.rowFilter(), nullptr);
 
     std::uint64_t job = 0;
     for (const ConvSpec &s : specs) {
@@ -340,6 +383,8 @@ TEST(FaultInjector, PrefilterFiresExactlyTheArmedSites)
         EXPECT_EQ(fired.size(), armed) << s.denseMacs();
         EXPECT_EQ(after.macsObserved - before.macsObserved,
                   s.denseMacs());
+        // Every armed site fired, so `fired` is the armed set.
+        expectRowBitsExactly(injector, s, fired);
     }
 }
 
@@ -374,6 +419,149 @@ TEST(FaultInjector, ArmsLargeSiteCountsInTheDrawOrder)
     fault::FaultInjector injector(plan);
     injector.beginJob(s, 2);
     EXPECT_EQ(firedLatticePoints(injector, s), want);
+}
+
+TEST(FaultInjector, RejectsOutOfRangeTransientSettings)
+{
+    // A plan built in code skips FaultPlan::parse's validation; more
+    // than 16 bits would leave flipProductBits no free bit to draw.
+    fault::FaultPlan plan;
+    plan.transient.sitesPerJob = 1;
+    for (const int bits : {0, 17, 32}) {
+        plan.transient.bits = bits;
+        EXPECT_THROW({ fault::FaultInjector injector(plan); },
+                     util::PanicError)
+            << bits;
+    }
+    plan.transient.bits = 16;
+    EXPECT_NO_THROW({ fault::FaultInjector injector(plan); });
+    plan.transient.sitesPerJob = -1;
+    EXPECT_THROW({ fault::FaultInjector injector(plan); },
+                 util::PanicError);
+}
+
+/** Forwards to an injector but publishes no row filter, so a walk
+ *  presents it every scheduled MAC. */
+class PerMacHook final : public sim::MacFaultHook
+{
+  public:
+    explicit PerMacHook(fault::FaultInjector &inner) : inner_(inner) {}
+
+    float
+    onMac(const sim::MacContext &ctx, float a, float b) override
+    {
+        return inner_.onMac(ctx, a, b);
+    }
+
+    bool visitIneffectual() const override
+    {
+        return inner_.visitIneffectual();
+    }
+
+  private:
+    fault::FaultInjector &inner_;
+};
+
+/** The campaign's six columns at random small unrollings. */
+std::vector<std::unique_ptr<sim::Architecture>>
+campaignColumns(Rng &rng)
+{
+    std::vector<std::unique_ptr<sim::Architecture>> v;
+    const Unroll nlr{.pIf = rng.uniformInt(1, 3),
+                     .pOf = rng.uniformInt(1, 4)};
+    v.push_back(std::make_unique<Nlr>(nlr, Nlr::ZeroPolicy::Execute));
+    v.push_back(std::make_unique<Nlr>(nlr, Nlr::ZeroPolicy::Skip));
+    v.push_back(std::make_unique<Wst>(Unroll{
+        .pOf = rng.uniformInt(1, 3), .pKx = rng.uniformInt(2, 4),
+        .pKy = rng.uniformInt(2, 4)}));
+    v.push_back(std::make_unique<Ost>(Unroll{
+        .pOf = rng.uniformInt(1, 3), .pOx = rng.uniformInt(2, 4),
+        .pOy = rng.uniformInt(2, 4)}));
+    v.push_back(std::make_unique<Zfost>(Unroll{
+        .pOf = rng.uniformInt(1, 3), .pOx = rng.uniformInt(2, 4),
+        .pOy = rng.uniformInt(2, 4)}));
+    v.push_back(std::make_unique<Zfwst>(Unroll{
+        .pOf = rng.uniformInt(1, 3), .pKx = rng.uniformInt(2, 4),
+        .pKy = rng.uniformInt(2, 4)}));
+    return v;
+}
+
+TEST(FaultInjector, RowFilterMatchesPerMacPath)
+{
+    // Three plans: transient-only (filtered), a stuck lane on top (no
+    // filter either way), memory-only (filtered, every row quiet, and
+    // ineffectual slots unvisited).
+    fault::FaultPlan transient;
+    transient.seed = 29;
+    transient.transient.sitesPerJob = 64;
+    transient.transient.bits = 2;
+    fault::FaultPlan stuck = transient;
+    fault::PeFault pe;
+    pe.lane = 1;
+    pe.kind = fault::PeFault::Kind::StuckAtValue;
+    pe.value = 0.75f;
+    stuck.peFaults.push_back(pe);
+    fault::FaultPlan memory;
+    memory.seed = 29;
+    memory.memory.flipProbPerAccess = 1e-3;
+    const fault::FaultPlan *const plans[] = {&transient, &stuck, &memory};
+
+    // The fuzz corpus, plus one job with more than 2^18 rows so the
+    // walks also read a bucketed filter.
+    Rng rng(0xF117E2ULL);
+    std::vector<ConvSpec> corpus;
+    for (int i = 0; i < 60; ++i)
+        corpus.push_back(tests::randomSpec(rng));
+    ConvSpec big = stuffedSpec();
+    big.nif = 4;
+    big.inOrigH = big.inOrigW = 32;
+    big.ih = big.iw = big.oh = big.ow = 63;
+    big.kh = big.kw = 5;
+    big.pad = 2;
+    corpus.push_back(big);
+
+    std::uint64_t fired = 0, peHits = 0;
+    for (std::size_t j = 0; j < corpus.size(); ++j) {
+        const ConvSpec &s = corpus[j];
+        const Tensor in = sim::makeStreamedInput(s, rng);
+        const Tensor w = sim::makeStreamedKernel(s, rng);
+        for (const auto &arch : campaignColumns(rng)) {
+            for (const fault::FaultPlan *plan : plans) {
+                fault::FaultInjector filtered(*plan), per_mac(*plan);
+                filtered.beginJob(s, j);
+                per_mac.beginJob(s, j);
+                EXPECT_EQ(filtered.rowFilter() != nullptr,
+                          plan->peFaults.empty());
+                PerMacHook forward(per_mac);
+
+                Tensor got = sim::makeOutputTensor(s);
+                arch->setFaultHook(&filtered);
+                arch->run(s, &in, &w, &got);
+                Tensor want = sim::makeOutputTensor(s);
+                arch->setFaultHook(&forward);
+                arch->run(s, &in, &w, &want);
+                arch->setFaultHook(nullptr);
+
+                const std::string where =
+                    arch->name() + " " + plan->describe() + " on " +
+                    s.describe();
+                EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                         got.numel() * sizeof(float)))
+                    << where;
+                const auto &a = filtered.counters();
+                const auto &b = per_mac.counters();
+                EXPECT_EQ(a.armed, b.armed) << where;
+                EXPECT_EQ(a.fired, b.fired) << where;
+                EXPECT_EQ(a.macsObserved, b.macsObserved) << where;
+                EXPECT_EQ(a.peHits, b.peHits) << where;
+                fired += a.fired;
+                peHits += a.peHits;
+            }
+        }
+    }
+    // The corpus really exercises loud rows and the stuck lane.
+    EXPECT_GT(fired, 0u);
+    EXPECT_GT(peHits, 0u);
 }
 
 // ---------------------------------------------------------------------
