@@ -5,6 +5,7 @@
 
 #include "sim/conv_spec.hh"
 
+#include <cmath>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -223,26 +224,74 @@ makeOutputTensor(const ConvSpec &spec)
     return Tensor(Shape4(1, spec.nof, spec.oh, spec.ow), 0.0f);
 }
 
-Tensor
-genericConvRef(const ConvSpec &spec, const Tensor &in, const Tensor &w)
+EffectualTaps
+effectualTaps(const ConvSpec &spec)
 {
-    spec.validate();
-    GANACC_ASSERT(in.shape() == Shape4(1, spec.nif, spec.ih, spec.iw),
-                  "streamed input shape mismatch for ", spec.describe());
-    Tensor out = makeOutputTensor(spec);
+    // Along one axis: for output coordinate t, the taps k whose input
+    // coordinate t*stride + k - pad is in range and neither operand
+    // is a structural zero on this axis.
+    auto axis = [&](int out_extent, int k_extent, int in_extent,
+                    bool row) {
+        auto taps = std::vector<std::vector<int>>(std::size_t(out_extent));
+        for (int t = 0; t < out_extent; ++t)
+            for (int k = 0; k < k_extent; ++k) {
+                const int i = t * spec.stride + k - spec.pad;
+                if (i < 0 || i >= in_extent)
+                    continue;
+                if (row ? spec.inputRowZero(i) || spec.kernelRowZero(k)
+                        : spec.inputColZero(i) || spec.kernelColZero(k))
+                    continue;
+                taps[std::size_t(t)].push_back(k);
+            }
+        return taps;
+    };
+    return {axis(spec.oh, spec.kh, spec.ih, true),
+            axis(spec.ow, spec.kw, spec.iw, false)};
+}
+
+namespace {
+
+/**
+ * True when skipping structural zeros cannot change an output bit:
+ * every operand is finite and every structural-zero slot holds +-0.
+ * A skipped product is then +-0, and adding +-0 leaves a double
+ * accumulator that starts at +0 unchanged.
+ */
+bool
+zeroSkipIsExact(const ConvSpec &spec, const Tensor &in, const Tensor &w)
+{
+    for (int c = 0; c < spec.nif; ++c)
+        for (int y = 0; y < spec.ih; ++y)
+            for (int x = 0; x < spec.iw; ++x) {
+                const float v = in.get(0, c, y, x);
+                if (!std::isfinite(v) ||
+                    (v != 0.0f && spec.inputIsZero(y, x)))
+                    return false;
+            }
+    for (int of = 0; of < w.shape().d0; ++of)
+        for (int c = 0; c < w.shape().d1; ++c)
+            for (int ky = 0; ky < spec.kh; ++ky)
+                for (int kx = 0; kx < spec.kw; ++kx) {
+                    const float v = w.get(of, c, ky, kx);
+                    if (!std::isfinite(v) ||
+                        (v != 0.0f && spec.kernelIsZero(ky, kx)))
+                        return false;
+                }
+    return true;
+}
+
+/** The reference's output loop; `dot(of, c, wc, oy, ox)` sums one
+ *  output's products over (ky, kx) in row-major tap order. */
+template <typename Dot>
+void
+convLoop(const ConvSpec &spec, Tensor &out, Dot dot)
+{
     for (int of = 0; of < spec.nof; ++of) {
         for (int c = 0; c < spec.nif; ++c) {
             int wc = spec.fourDimOutput ? 0 : c;
             for (int oy = 0; oy < spec.oh; ++oy)
                 for (int ox = 0; ox < spec.ow; ++ox) {
-                    double acc = 0.0;
-                    for (int ky = 0; ky < spec.kh; ++ky)
-                        for (int kx = 0; kx < spec.kw; ++kx) {
-                            int iy = oy * spec.stride + ky - spec.pad;
-                            int ix = ox * spec.stride + kx - spec.pad;
-                            acc += double(in.getPadded(0, c, iy, ix)) *
-                                   w.get(of, wc, ky, kx);
-                        }
+                    const double acc = dot(of, c, wc, oy, ox);
                     if (spec.fourDimOutput)
                         out.ref(of, c, oy, ox) = float(acc);
                     else
@@ -250,6 +299,48 @@ genericConvRef(const ConvSpec &spec, const Tensor &in, const Tensor &w)
                 }
         }
     }
+}
+
+} // namespace
+
+Tensor
+genericConvRef(const ConvSpec &spec, const Tensor &in, const Tensor &w)
+{
+    spec.validate();
+    GANACC_ASSERT(in.shape() == Shape4(1, spec.nif, spec.ih, spec.iw),
+                  "streamed input shape mismatch for ", spec.describe());
+    GANACC_ASSERT(w.shape().d2 == spec.kh && w.shape().d3 == spec.kw,
+                  "streamed kernel shape mismatch for ", spec.describe());
+    Tensor out = makeOutputTensor(spec);
+    if (!zeroSkipIsExact(spec, in, w)) {
+        // Dense loop over every slot, padding included.
+        convLoop(spec, out, [&](int of, int c, int wc, int oy, int ox) {
+            double acc = 0.0;
+            for (int ky = 0; ky < spec.kh; ++ky)
+                for (int kx = 0; kx < spec.kw; ++kx) {
+                    int iy = oy * spec.stride + ky - spec.pad;
+                    int ix = ox * spec.stride + kx - spec.pad;
+                    acc += double(in.getPadded(0, c, iy, ix)) *
+                           w.get(of, wc, ky, kx);
+                }
+            return acc;
+        });
+        return out;
+    }
+    // Every listed tap is in range, so no bounds test per product.
+    const EffectualTaps taps = effectualTaps(spec);
+    convLoop(spec, out, [&](int of, int c, int wc, int oy, int ox) {
+        double acc = 0.0;
+        for (int ky : taps.rows[std::size_t(oy)]) {
+            const int iy = oy * spec.stride + ky - spec.pad;
+            for (int kx : taps.cols[std::size_t(ox)]) {
+                const int ix = ox * spec.stride + kx - spec.pad;
+                acc += double(in.get(0, c, iy, ix)) *
+                       w.get(of, wc, ky, kx);
+            }
+        }
+        return acc;
+    });
     return out;
 }
 

@@ -154,9 +154,37 @@ tensor::Tensor makeStreamedInput(const ConvSpec &spec, util::Rng &rng);
  *  (nof, nif, kh, kw), or (nof, 1, kh, kw) for four-dim jobs. */
 tensor::Tensor makeStreamedKernel(const ConvSpec &spec, util::Rng &rng);
 
+/** The effectual kernel taps of every output coordinate, per axis. */
+struct EffectualTaps
+{
+    /// Per output row oy: the kernel rows ky, ascending, whose input
+    /// row is in range and neither operand row is a structural zero.
+    std::vector<std::vector<int>> rows;
+    /// Per output column ox: the kernel columns kx, likewise.
+    std::vector<std::vector<int>> cols;
+};
+
 /**
- * Golden-model execution of a spec: direct nested loops. Output is
- * (1, nof, oh, ow), or (nof, nif, oh, ow) for four-dim jobs.
+ * The tap lists of `spec`. Both structural-zero tests are separable
+ * by axis, so the pairs (ky in rows[oy], kx in cols[ox]) are exactly
+ * the in-range products with both operands structurally non-zero.
+ */
+EffectualTaps effectualTaps(const ConvSpec &spec);
+
+/**
+ * Golden-model execution of a spec. Output is (1, nof, oh, ow), or
+ * (nof, nif, oh, ow) for four-dim jobs; each output sums its products
+ * in a double, over (ky, kx) in row-major order.
+ *
+ * The loop visits only the effectual taps of each output
+ * (effectualTaps) and skips every structural-zero and padding
+ * product. That is bit-identical to the dense loop because a skipped
+ * product is +-0 and adding +-0 never changes an accumulator that
+ * starts at +0 — provided every operand is finite and every
+ * structural-zero slot of the input and the kernel holds +-0. Both
+ * conditions are checked once per call; if either fails (a NaN or
+ * an infinity anywhere, or a bit-flipped structural slot), the call
+ * runs the dense loop over every slot instead.
  */
 tensor::Tensor genericConvRef(const ConvSpec &spec,
                               const tensor::Tensor &in,

@@ -1,8 +1,12 @@
 # CTest script for the faultsim-golden check: runs the MNIST-GAN
-# resilience campaign through ganacc-faultsim twice and byte-compares
-# each JSON report against its committed golden. The transient-only
-# plan walks with the injector's row filter; adding a stuck lane turns
-# the filter off, so the per-MAC hook path is pinned too. Variables:
+# resilience campaign through ganacc-faultsim three times and
+# byte-compares each JSON report against its committed golden. The
+# transient-only plan walks with the injector's row filter; adding a
+# stuck lane turns the filter off, so the per-MAC hook path is pinned
+# too. The storage bit-flip case recomputes the reference convolution
+# per cell: cells that draw no flip take its zero-skipping path, and
+# cells whose flips break the zero structure or make an operand
+# non-finite take its dense fallback. Variables:
 # TOOL (ganacc-faultsim binary), GOLDEN_DIR (committed goldens),
 # OUT_DIR (directory for the generated reports).
 
@@ -30,3 +34,4 @@ endfunction()
 
 check_campaign(faultsim_mnist_transient)
 check_campaign(faultsim_mnist_pe_lane3 --pe-lane 3 --bits 2)
+check_campaign(faultsim_mnist_mem --flip-prob 1e-7)

@@ -2,12 +2,21 @@
  * @file
  * Tests for the streamed convolution-job description, including
  * brute-force cross-checks of the closed-form occupancy counters that
- * the cycle-level models rely on.
+ * the cycle-level models rely on, and a bitwise differential test of
+ * the zero-skipping golden model against the dense loop.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "fuzz_specs.hh"
+#include "gan/models.hh"
 #include "sim/conv_spec.hh"
+#include "sim/phase.hh"
 #include "sim/stats.hh"
 #include "tensor/tensor.hh"
 #include "util/logging.hh"
@@ -231,6 +240,173 @@ TEST(ConvSpec, GenericConvRefMatchesHandExample)
     EXPECT_FLOAT_EQ(out.get(0, 0, 1, 0), 3.0f);
     EXPECT_FLOAT_EQ(out.get(0, 0, 1, 1), 4.0f);
 }
+
+/**
+ * The dense loop over every slot, padding included: the oracle the
+ * zero-skipping genericConvRef must match bit for bit.
+ */
+Tensor
+denseConvOracle(const ConvSpec &spec, const Tensor &in, const Tensor &w)
+{
+    Tensor out = sim::makeOutputTensor(spec);
+    for (int of = 0; of < spec.nof; ++of) {
+        for (int c = 0; c < spec.nif; ++c) {
+            int wc = spec.fourDimOutput ? 0 : c;
+            for (int oy = 0; oy < spec.oh; ++oy)
+                for (int ox = 0; ox < spec.ow; ++ox) {
+                    double acc = 0.0;
+                    for (int ky = 0; ky < spec.kh; ++ky)
+                        for (int kx = 0; kx < spec.kw; ++kx) {
+                            int iy = oy * spec.stride + ky - spec.pad;
+                            int ix = ox * spec.stride + kx - spec.pad;
+                            acc += double(in.getPadded(0, c, iy, ix)) *
+                                   w.get(of, wc, ky, kx);
+                        }
+                    if (spec.fourDimOutput)
+                        out.ref(of, c, oy, ox) = float(acc);
+                    else
+                        out.ref(0, of, oy, ox) += float(acc);
+                }
+        }
+    }
+    return out;
+}
+
+/** Flat offsets of the input slots that are (or are not) structural
+ *  zeros. */
+std::vector<std::size_t>
+inputSlots(const ConvSpec &s, const Tensor &in, bool structural)
+{
+    std::vector<std::size_t> v;
+    for (int c = 0; c < s.nif; ++c)
+        for (int y = 0; y < s.ih; ++y)
+            for (int x = 0; x < s.iw; ++x)
+                if (s.inputIsZero(y, x) == structural)
+                    v.push_back(in.shape().offset(0, c, y, x));
+    return v;
+}
+
+/** Flat offsets of the kernel slots that are (or are not) structural
+ *  zeros. */
+std::vector<std::size_t>
+kernelSlots(const ConvSpec &s, const Tensor &w, bool structural)
+{
+    std::vector<std::size_t> v;
+    for (int of = 0; of < w.shape().d0; ++of)
+        for (int c = 0; c < w.shape().d1; ++c)
+            for (int ky = 0; ky < s.kh; ++ky)
+                for (int kx = 0; kx < s.kw; ++kx)
+                    if (s.kernelIsZero(ky, kx) == structural)
+                        v.push_back(w.shape().offset(of, c, ky, kx));
+    return v;
+}
+
+/** A copy of `t` with `v` written at a uniformly drawn one of
+ *  `slots`. */
+Tensor
+withValueAt(const Tensor &t, const std::vector<std::size_t> &slots,
+            float v, Rng &rng)
+{
+    Tensor out = t;
+    out.data()[slots[std::size_t(
+        rng.uniformInt(0, int(slots.size()) - 1))]] = v;
+    return out;
+}
+
+/**
+ * genericConvRef against the dense oracle, compared as bit patterns:
+ * on clean operands, with -0.0 in every structural slot (still exact
+ * to skip), and with each perturbation that makes skipping inexact —
+ * a NaN or an infinity in an effectual slot, or a nonzero in a
+ * structural one — which must send the call down the dense fallback.
+ * Also ties the tap lists to effectiveMacs().
+ */
+void
+expectMatchesDenseOracle(const ConvSpec &s, Rng &rng)
+{
+    const sim::EffectualTaps taps = sim::effectualTaps(s);
+    std::uint64_t rows = 0, cols = 0;
+    for (const auto &r : taps.rows)
+        rows += r.size();
+    for (const auto &c : taps.cols)
+        cols += c.size();
+    EXPECT_EQ(std::uint64_t(s.nof) * std::uint64_t(s.nif) * rows * cols,
+              s.effectiveMacs())
+        << s.describe();
+
+    const Tensor in = sim::makeStreamedInput(s, rng);
+    const Tensor w = sim::makeStreamedKernel(s, rng);
+    auto check = [&](const Tensor &i, const Tensor &k,
+                     const std::string &what) {
+        const Tensor got = sim::genericConvRef(s, i, k);
+        const Tensor want = denseConvOracle(s, i, k);
+        ASSERT_EQ(got.shape(), want.shape()) << s.describe();
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 got.numel() * sizeof(float)))
+            << what << " on " << s.describe();
+    };
+    check(in, w, "clean operands");
+
+    const auto in_zero = inputSlots(s, in, true);
+    const auto w_zero = kernelSlots(s, w, true);
+    Tensor in_neg = in, w_neg = w;
+    for (std::size_t i : in_zero)
+        in_neg.data()[i] = -0.0f;
+    for (std::size_t i : w_zero)
+        w_neg.data()[i] = -0.0f;
+    check(in_neg, w_neg, "-0.0 in structural slots");
+
+    const auto in_eff = inputSlots(s, in, false);
+    const auto w_eff = kernelSlots(s, w, false);
+    const float inf = std::numeric_limits<float>::infinity();
+    for (float v : {std::numeric_limits<float>::quiet_NaN(), inf, -inf}) {
+        const std::string name = std::to_string(v);
+        check(withValueAt(in, in_eff, v, rng), w,
+              name + " in an effectual input slot");
+        check(in, withValueAt(w, w_eff, v, rng),
+              name + " in an effectual weight slot");
+    }
+    if (!in_zero.empty())
+        check(withValueAt(in, in_zero, 0.75f, rng), w,
+              "nonzero in a structural input slot");
+    if (!w_zero.empty())
+        check(in, withValueAt(w, w_zero, 0.75f, rng),
+              "nonzero in a structural kernel slot");
+}
+
+TEST(ConvSpec, GenericConvRefBitIdenticalToDenseOnFuzzCorpus)
+{
+    Rng rng(0xC0417EFULL);
+    for (int i = 0; i < 200; ++i)
+        expectMatchesDenseOracle(tests::randomSpec(rng), rng);
+}
+
+/** The 16 MNIST-GAN jobs of the four Table V families. */
+std::vector<ConvSpec>
+mnistGanJobs()
+{
+    std::vector<ConvSpec> jobs;
+    for (sim::PhaseFamily f : {sim::PhaseFamily::D, sim::PhaseFamily::G,
+                               sim::PhaseFamily::Dw, sim::PhaseFamily::Gw})
+        for (const ConvSpec &s : sim::familyJobs(gan::makeMnistGan(), f))
+            jobs.push_back(s);
+    return jobs;
+}
+
+/** One MNIST-GAN job per test, so the largest ones run side by side. */
+class GenericConvRefJob : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(GenericConvRefJob, BitIdenticalToDense)
+{
+    Rng rng(0xF4A1ULL + std::uint64_t(GetParam()));
+    expectMatchesDenseOracle(mnistGanJobs().at(std::size_t(GetParam())),
+                             rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(MnistGan, GenericConvRefJob,
+                         ::testing::Range(0, int(mnistGanJobs().size())));
 
 TEST(ConvSpec, ValidateRejectsMalformedSpecs)
 {
