@@ -205,10 +205,15 @@ class Architecture
     /**
      * One scheduled operand row: streamed input `v` times the `of_cnt`
      * kernel weights of output maps [of0, of0 + of_cnt) at (c, ky, kx),
-     * on physical lanes lane0 + f. Call only when path.visits(useful).
-     * A row the filter marks quiet skips the hook: an ineffectual one
-     * adds ±0 on finite operands, which never changes an accumulator
-     * that starts at +0, so it is not multiplied at all.
+     * on physical lanes lane0 + f. `useful` means both operands are
+     * structurally non-zero (a walk may also clear it for a zero input
+     * value). Call only when path.visits(x) holds, where x may be a
+     * weaker test than `useful`: OST visits every tap whose input is
+     * non-zero, structural kernel zeros included, because its array
+     * streams them. A row the hook does not see — no hook, or a row
+     * the filter marks quiet — is multiplied only when `useful`: an
+     * ineffectual one adds ±0 on finite operands, which never changes
+     * an accumulator that starts at +0.
      */
     void
     macRow(MacPath &path, const ConvSpec &spec, const tensor::Tensor &w,

@@ -90,8 +90,10 @@ OutputStationary::doRun(const ConvSpec &spec, const Tensor *in,
                                 // trailing (output-pad) rows can still
                                 // be ineffectual — zero-free parity
                                 // classes leave only the first and last.
+                                const bool k_zero =
+                                    spec.kernelIsZero(ky, kx);
                                 const int eff_pos =
-                                    spec.kernelIsZero(ky, kx)
+                                    k_zero
                                         ? 0
                                         : cls.nonzeroRows(spec, t_y0,
                                                           ty_cnt, ky) *
@@ -109,7 +111,9 @@ OutputStationary::doRun(const ConvSpec &spec, const Tensor *in,
                                 // Zero-valued inputs contribute nothing
                                 // but are still scheduled on the tile's
                                 // multipliers, so the fault hook may
-                                // ask to see them.
+                                // ask to see them. A structural-zero
+                                // tap is visited too, but only a hook
+                                // that presents its row multiplies it.
                                 for (int dy = 0; dy < ty_cnt; ++dy)
                                     for (int dx = 0; dx < tx_cnt; ++dx) {
                                         const int oy =
@@ -125,7 +129,7 @@ OutputStationary::doRun(const ConvSpec &spec, const Tensor *in,
                                                 spec.pad);
                                         if (path.visits(v != 0.0f))
                                             macRow(path, spec, *w, *out, v,
-                                                   v != 0.0f,
+                                                   v != 0.0f && !k_zero,
                                                    (dy * unroll_.pOx + dx) *
                                                        unroll_.pOf,
                                                    of0, of_cnt, c, oy, ox,

@@ -6,6 +6,7 @@
 #include "sim/wst.hh"
 
 #include <algorithm>
+#include <vector>
 
 #include "sim/closed_form.hh"
 #include "util/logging.hh"
@@ -14,6 +15,81 @@ namespace ganacc {
 namespace sim {
 
 using tensor::Tensor;
+
+namespace {
+
+/**
+ * One axis of the WST walk's tap table. For every (kernel tile,
+ * input coordinate i) it lists the tile's resident taps k whose
+ * product with input i lands on an output o, in ascending k — the
+ * taps the walk's stride test would accept. Lists are stored flat:
+ * list j is taps[off[j], off[j + 1]), with j = tile * extent + i.
+ */
+struct TapTable
+{
+    struct Tap
+    {
+        int k;     ///< kernel row (column), streamed coordinates
+        int o;     ///< output row (column) the product feeds
+        int lane;  ///< the tap's share of the physical lane index
+        bool zero; ///< structural-zero kernel row (column)
+    };
+
+    std::vector<Tap> taps;
+    std::vector<int> off;
+    std::vector<int> nonzero;   ///< per list: taps with !zero
+    std::vector<char> inZero;   ///< per input coordinate
+    int extent;
+
+    /** The row (`row`) or column axis of `s` under a tile of `p`
+     *  resident taps, each lane_stride lanes from the previous one. */
+    TapTable(const ConvSpec &s, bool row, int p, int lane_stride)
+        : extent(row ? s.ih : s.iw)
+    {
+        const int kext = row ? s.kh : s.kw, oext = row ? s.oh : s.ow;
+        const int tiles = (kext + p - 1) / p;
+        off.reserve(std::size_t(tiles) * extent + 1);
+        nonzero.reserve(std::size_t(tiles) * extent);
+        for (int k0 = 0; k0 < kext; k0 += p) {
+            const int k_end = std::min(k0 + p, kext);
+            for (int i = 0; i < extent; ++i) {
+                off.push_back(int(taps.size()));
+                int nz = 0;
+                for (int k = k0; k < k_end; ++k) {
+                    const int n = i - k + s.pad;
+                    if (n < 0 || n % s.stride != 0 || n / s.stride >= oext)
+                        continue;
+                    const bool zero =
+                        row ? s.kernelRowZero(k) : s.kernelColZero(k);
+                    taps.push_back(
+                        {k, n / s.stride, (k - k0) * lane_stride, zero});
+                    nz += !zero;
+                }
+                nonzero.push_back(nz);
+            }
+        }
+        off.push_back(int(taps.size()));
+        inZero.resize(std::size_t(extent));
+        for (int i = 0; i < extent; ++i)
+            inZero[std::size_t(i)] =
+                row ? s.inputRowZero(i) : s.inputColZero(i);
+    }
+
+    const Tap *begin(int tile, int i) const
+    {
+        return taps.data() + off[std::size_t(tile) * extent + i];
+    }
+    const Tap *end(int tile, int i) const
+    {
+        return taps.data() + off[std::size_t(tile) * extent + i + 1];
+    }
+    int nonzeroTaps(int tile, int i) const
+    {
+        return nonzero[std::size_t(tile) * extent + i];
+    }
+};
+
+} // namespace
 
 RunStats
 Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
@@ -27,6 +103,10 @@ Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
 
     const int ktiles_y = (spec.kh + unroll_.pKy - 1) / unroll_.pKy;
     const int ktiles_x = (spec.kw + unroll_.pKx - 1) / unroll_.pKx;
+    // Which resident taps each input row and column reaches, per
+    // kernel tile; the cycle loop pairs the two lists.
+    const TapTable rows(spec, true, unroll_.pKy, unroll_.pKx * unroll_.pOf);
+    const TapTable cols(spec, false, unroll_.pKx, unroll_.pOf);
 
     // Partial sums accumulate in the zero-initialized output buffer
     // across every pass: one job-wide write-through window.
@@ -52,6 +132,26 @@ Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
 
                 for (int c = 0; c < spec.nif; ++c) {
                     for (int iy = 0; iy < spec.ih; ++iy) {
+                        const TapTable::Tap *const ry0 = rows.begin(kty, iy);
+                        const TapTable::Tap *const ry1 = rows.end(kty, iy);
+                        if (ry0 == ry1) {
+                            // No resident row reaches an output from
+                            // this input row: its cycles only stream.
+                            st.cycles += std::uint64_t(spec.iw);
+                            st.inputLoads += std::uint64_t(spec.iw);
+                            st.idlePeSlots +=
+                                std::uint64_t(spec.iw) * n_pes;
+                            if (rec)
+                                for (int ix = 0; ix < spec.iw; ++ix) {
+                                    rec->onCycle();
+                                    rec->onPort(SchedPort::Input, 1);
+                                    rec->onPort(SchedPort::OutputRead, 0);
+                                    rec->onPort(SchedPort::OutputWrite, 0);
+                                }
+                            continue;
+                        }
+                        const bool row_zero = rows.inZero[std::size_t(iy)];
+                        const int row_nz = rows.nonzeroTaps(kty, iy);
                         for (int ix = 0; ix < spec.iw; ++ix) {
                             // ---- one cycle: broadcast in(c,iy,ix) ----
                             st.cycles += 1;
@@ -60,67 +160,63 @@ Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                                 rec->onCycle();
                                 rec->onPort(SchedPort::Input, 1);
                             }
+                            const TapTable::Tap *const rx0 =
+                                cols.begin(ktx, ix);
+                            const TapTable::Tap *const rx1 =
+                                cols.end(ktx, ix);
                             const bool in_zero =
-                                spec.inputIsZero(iy, ix);
-                            int eff = 0, ineff = 0, contrib = 0;
-                            for (int ky = ky0; ky < ky0 + ky_cnt; ++ky) {
-                                int ny = iy - ky + spec.pad;
-                                if (ny < 0 || ny % spec.stride != 0)
-                                    continue;
-                                int oy = ny / spec.stride;
-                                if (oy >= spec.oh)
-                                    continue;
-                                for (int kx = kx0; kx < kx0 + kx_cnt;
-                                     ++kx) {
-                                    int nx = ix - kx + spec.pad;
-                                    if (nx < 0 ||
-                                        nx % spec.stride != 0)
-                                        continue;
-                                    int ox = nx / spec.stride;
-                                    if (ox >= spec.ow)
-                                        continue;
-                                    ++contrib;
-                                    if (rec) {
-                                        rec->onLanes(
-                                            ((ky - ky0) * unroll_.pKx +
-                                             (kx - kx0)) *
-                                                unroll_.pOf,
-                                            of_cnt);
-                                        const std::uint64_t cell =
-                                            schedCellIndex(spec, of0, c,
-                                                           oy, ox);
-                                        rec->onCellRead(
-                                            cell, std::uint64_t(of_cnt));
-                                        rec->onCellWrite(
-                                            cell, std::uint64_t(of_cnt));
+                                row_zero || cols.inZero[std::size_t(ix)];
+                            const int contrib =
+                                int(ry1 - ry0) * int(rx1 - rx0);
+                            const int eff =
+                                in_zero ? 0
+                                        : row_nz * cols.nonzeroTaps(ktx, ix);
+                            if (rec || (functional &&
+                                        path.visits(eff != 0))) {
+                                const float v =
+                                    functional ? in->get(0, c, iy, ix)
+                                               : 0.0f;
+                                for (const TapTable::Tap *ty = ry0;
+                                     ty != ry1; ++ty)
+                                    for (const TapTable::Tap *tx = rx0;
+                                         tx != rx1; ++tx) {
+                                        const int lane0 =
+                                            ty->lane + tx->lane;
+                                        if (rec) {
+                                            rec->onLanes(lane0, of_cnt);
+                                            const std::uint64_t cell =
+                                                schedCellIndex(spec, of0,
+                                                               c, ty->o,
+                                                               tx->o);
+                                            rec->onCellRead(
+                                                cell,
+                                                std::uint64_t(of_cnt));
+                                            rec->onCellWrite(
+                                                cell,
+                                                std::uint64_t(of_cnt));
+                                        }
+                                        const bool useful =
+                                            !in_zero && !ty->zero &&
+                                            !tx->zero;
+                                        // Zero-operand slots still
+                                        // occupy the multipliers, so
+                                        // visit them for the fault
+                                        // hook on request.
+                                        if (functional &&
+                                            path.visits(useful))
+                                            macRow(path, spec, *w, *out,
+                                                   v, useful, lane0, of0,
+                                                   of_cnt, c, ty->o,
+                                                   tx->o, ty->k, tx->k);
                                     }
-                                    bool useful =
-                                        !in_zero &&
-                                        !spec.kernelIsZero(ky, kx);
-                                    if (useful)
-                                        ++eff;
-                                    else
-                                        ++ineff;
-                                    // Zero-operand slots still occupy
-                                    // the multipliers, so visit them
-                                    // for the fault hook on request.
-                                    if (functional && path.visits(useful))
-                                        macRow(path, spec, *w, *out,
-                                               in->get(0, c, iy, ix), useful,
-                                               ((ky - ky0) * unroll_.pKx +
-                                                (kx - kx0)) *
-                                                   unroll_.pOf,
-                                               of0, of_cnt, c, oy, ox, ky,
-                                               kx);
-                                }
                             }
                             st.effectiveMacs +=
                                 std::uint64_t(eff) * of_cnt;
                             st.ineffectualMacs +=
-                                std::uint64_t(ineff) * of_cnt;
+                                std::uint64_t(contrib - eff) * of_cnt;
                             st.idlePeSlots +=
                                 std::uint64_t(n_pes) -
-                                std::uint64_t(eff + ineff) * of_cnt;
+                                std::uint64_t(contrib) * of_cnt;
                             // Every contribution is a read-modify-write
                             // of a different partial sum.
                             st.outputReads +=

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign_matrix.hh"
 #include "core/zfost.hh"
 #include "core/zfwst.hh"
 #include "fault/campaign.hh"
@@ -562,6 +563,62 @@ TEST(FaultInjector, RowFilterMatchesPerMacPath)
     // The corpus really exercises loud rows and the stuck lane.
     EXPECT_GT(fired, 0u);
     EXPECT_GT(peHits, 0u);
+}
+
+/** Presents every scheduled MAC, ineffectual ones included, and
+ *  returns the exact product: the full schedule, fault-free. */
+class FullScheduleHook final : public sim::MacFaultHook
+{
+  public:
+    float onMac(const sim::MacContext &, float a, float b) override
+    {
+        return a * b;
+    }
+
+    bool visitIneffectual() const override { return true; }
+};
+
+/** The unhooked walk multiplies only effectual rows and skips every
+ *  structural-zero and padding slot; the full schedule multiplies all
+ *  of them. On finite operands that honour the zero structure the two
+ *  must agree bit for bit, in every column, on the fuzz corpus and on
+ *  the campaign's own jobs at the paper unrolls. */
+TEST(FaultInjector, PlainPathMatchesFullSchedule)
+{
+    const auto expectSame = [](sim::Architecture &arch, const ConvSpec &s,
+                               const Tensor &in, const Tensor &w) {
+        FullScheduleHook full;
+        Tensor plain = sim::makeOutputTensor(s);
+        arch.run(s, &in, &w, &plain);
+        Tensor hooked = sim::makeOutputTensor(s);
+        arch.setFaultHook(&full);
+        arch.run(s, &in, &w, &hooked);
+        arch.setFaultHook(nullptr);
+        EXPECT_EQ(0, std::memcmp(plain.data(), hooked.data(),
+                                 plain.numel() * sizeof(float)))
+            << arch.name() << " (" << arch.unroll().str() << ") on "
+            << s.describe();
+    };
+
+    Rng rng(0xF0115CEDULL);
+    for (int i = 0; i < 60; ++i) {
+        const ConvSpec s = tests::randomSpec(rng);
+        const Tensor in = sim::makeStreamedInput(s, rng);
+        const Tensor w = sim::makeStreamedKernel(s, rng);
+        for (const auto &arch : campaignColumns(rng))
+            expectSame(*arch, s, in, w);
+    }
+
+    const gan::GanModel model = gan::makeMnistGan();
+    for (const tests::CampaignRow &row : tests::kCampaignRows) {
+        const auto columns = tests::campaignRowColumns(row);
+        for (const ConvSpec &s : sim::familyJobs(model, row.family)) {
+            const Tensor in = sim::makeStreamedInput(s, rng);
+            const Tensor w = sim::makeStreamedKernel(s, rng);
+            for (const auto &arch : columns)
+                expectSame(*arch, s, in, w);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

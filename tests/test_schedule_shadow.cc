@@ -18,6 +18,7 @@
 #include <sstream>
 #include <vector>
 
+#include "campaign_matrix.hh"
 #include "core/unrolling.hh"
 #include "core/zfost.hh"
 #include "core/zfwst.hh"
@@ -29,6 +30,7 @@
 #include "sim/nlr.hh"
 #include "sim/phase.hh"
 #include "sim/schedule_recorder.hh"
+#include "stats_helpers.hh"
 #include "tensor/tensor.hh"
 #include "util/random.hh"
 #include "verify/diagnostics.hh"
@@ -279,6 +281,44 @@ TEST(ScheduleShadow, RecorderForcesWalkEngine)
     // disarmed again afterwards.
     EXPECT_EQ(walked.str(), fast.str());
     EXPECT_EQ(arch->scheduleRecorder(), nullptr);
+}
+
+/** The campaign's own shapes: the 16 MNIST-GAN jobs in six columns
+ *  at the paper unrolls. They include W-CONV jobs whose kernel is far
+ *  wider than their output (Gw L2: a 28x28 kernel on a 5x5 output),
+ *  where most WST input rows reach no output through the resident
+ *  tile — shapes the fuzz corpus rarely draws. The functional walk,
+ *  unrecorded and with a recorder armed, must count exactly what the
+ *  schedule model derives, and record the relation it predicts. */
+TEST(ScheduleShadow, CampaignShapesWalkMatchesModel)
+{
+    Rng rng(0xCA3A1600ULL);
+    const gan::GanModel model = gan::makeMnistGan();
+    for (const tests::CampaignRow &row : tests::kCampaignRows) {
+        const auto columns = tests::campaignRowColumns(row);
+        for (const ConvSpec &s : sim::familyJobs(model, row.family)) {
+            const tensor::Tensor in = sim::makeStreamedInput(s, rng);
+            const tensor::Tensor w = sim::makeStreamedKernel(s, rng);
+            for (const auto &arch : columns) {
+                const std::string where = arch->name() + " " + row.name +
+                                          " on " + s.describe();
+                sim::ScheduleModel m;
+                ASSERT_TRUE(arch->scheduleModel(s, m)) << where;
+
+                tensor::Tensor out = sim::makeOutputTensor(s);
+                tests::expectStatsEqual(arch->run(s, &in, &w, &out),
+                                        m.stats, where);
+                RunStats recorded;
+                const ScheduleRelation rel =
+                    verify::recordedScheduleRelation(
+                        *arch, s, /*functional=*/true, &recorded);
+                tests::expectStatsEqual(recorded, m.stats,
+                                        where + " (recorded)");
+                EXPECT_EQ(verify::staticScheduleRelation(*arch, s), rel)
+                    << where;
+            }
+        }
+    }
 }
 
 /** Regression: a head-layer T-CONV streams a 1x1 error map, so every
