@@ -26,8 +26,25 @@ Zfwst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
     const int n_pes = numPes();
     const int resident_cap = unroll_.pKx * unroll_.pKy;
     sim::ScheduleRecorder *const rec = schedRec();
-    MacPath path(faultHook());
+    // A cycle fixes (c, oy, ox) and spans the resident taps.
+    const CycleProjection proj{
+        {std::uint64_t(spec.oh) * spec.ow, std::uint64_t(spec.ow), 1, 0, 0}};
+    MacPath path(faultHook(), proj);
     RunStats st;
+    // Per input row and column: not a structural zero.
+    std::vector<char> row_live(std::size_t(spec.ih)),
+        col_live(std::size_t(spec.iw));
+    for (int iy = 0; iy < spec.ih; ++iy)
+        row_live[std::size_t(iy)] = !spec.inputRowZero(iy);
+    for (int ix = 0; ix < spec.iw; ++ix)
+        col_live[std::size_t(ix)] = !spec.inputColZero(ix);
+    // The register block holds the (class, of-tile) partial sums; the
+    // resident weights are staged [tap][of], a tap's run at its first
+    // lane.
+    RegisterBlock block;
+    std::vector<float> wts;
+    if (functional)
+        wts.resize(std::size_t(n_pes));
 
     for (const sim::ParityClass &cls : sim::parityClasses(spec, true)) {
         if (cls.empty())
@@ -44,6 +61,12 @@ Zfwst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
         const std::uint64_t positions = std::uint64_t(n_y) * n_x;
         for (int of0 = 0; of0 < spec.nof; of0 += unroll_.pOf) {
             const int of_cnt = std::min(unroll_.pOf, spec.nof - of0);
+            if (functional) {
+                block.place(of0, of_cnt, cls.y.first, cls.x.first, cls.step,
+                            n_y, n_x);
+                if (!spec.fourDimOutput)
+                    block.load(spec, *out, 0);
+            }
             // The ping-pong partial-result buffer window for this
             // class/of-tile: NOT zero-initialized — the first
             // chunk's writes create every cell, later passes
@@ -66,6 +89,15 @@ Zfwst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                                 std::uint64_t(e_cnt) * of_cnt);
 
                 for (int c = 0; c < spec.nif; ++c) {
+                    if (functional) {
+                        if (spec.fourDimOutput)
+                            block.load(spec, *out, c);
+                        for (int e = e0; e < e0 + e_cnt; ++e)
+                            stageWeights(spec, *w, of0, of_cnt, c,
+                                         eff[e].first, eff[e].second,
+                                         wts.data() +
+                                             (e - e0) * unroll_.pOf);
+                    }
                     bool first_out = true;
                     for (int t_y = 0; t_y < n_y; ++t_y) {
                         for (int t_x = 0; t_x < n_x; ++t_x) {
@@ -74,6 +106,9 @@ Zfwst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                             st.cycles += 1;
                             const int oy = cls.y.first + t_y * cls.step;
                             const int ox = cls.x.first + t_x * cls.step;
+                            if (functional)
+                                path.cycle(proj.key(c, oy, ox, 0, 0),
+                                           std::uint64_t(e_cnt) * of_cnt);
                             int eff_cnt = 0;
                             for (int e = e0; e < e0 + e_cnt; ++e) {
                                 const auto [ky, kx] = eff[e];
@@ -84,18 +119,26 @@ Zfwst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                                 bool useful =
                                     iy >= 0 && iy < spec.ih &&
                                     ix >= 0 && ix < spec.iw &&
-                                    !spec.inputIsZero(iy, ix);
+                                    row_live[std::size_t(iy)] &&
+                                    col_live[std::size_t(ix)];
                                 if (useful)
                                     ++eff_cnt;
                                 // Residual padding/zero slots in a
                                 // chunk still occupy multiplier
                                 // lanes; the fault hook may visit
                                 // them.
-                                if (functional && path.visits(useful))
-                                    macRow(path, spec, *w, *out,
-                                           in->getPadded(0, c, iy, ix),
-                                           useful, (e - e0) * unroll_.pOf,
-                                           of0, of_cnt, c, oy, ox, ky, kx);
+                                if (functional && path.visits(useful)) {
+                                    const int lane0 =
+                                        (e - e0) * unroll_.pOf;
+                                    blockMacRow(
+                                        path, block.at(t_y, t_x),
+                                        wts.data() + lane0,
+                                        in->getPadded(0, c, iy, ix),
+                                        useful,
+                                        sim::MacContext{lane0, of0, c, oy,
+                                                        ox, ky, kx},
+                                        of_cnt);
+                                }
                             }
                             st.effectiveMacs +=
                                 std::uint64_t(eff_cnt) * of_cnt;
@@ -164,8 +207,12 @@ Zfwst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                             }
                         }
                     }
+                    if (functional && spec.fourDimOutput)
+                        block.store(spec, *out, c);
                 }
             }
+            if (functional && !spec.fourDimOutput)
+                block.store(spec, *out, 0);
             if (rec)
                 rec->onWindowEnd();
         }

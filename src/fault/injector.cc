@@ -29,6 +29,7 @@ FaultInjector::FaultInjector(FaultPlan plan)
     filter_.mask = (std::uint64_t(1) << kBucketBits) - 1;
     filter_.bits = rowMap_.data();
     filter_.quietMacs = &counters_.macsObserved;
+    filter_.rows = &loudRows_;
 }
 
 void
@@ -40,6 +41,7 @@ FaultInjector::beginJob(const sim::ConvSpec &spec,
     for (const std::uint64_t site : armedSites_)
         markRow(site, false);
     armedSites_.clear();
+    loudRows_.clear();
 
     haveJob_ = true;
     // Row-major order over (of, c, oy, ox, ky, kx) — the same
@@ -80,8 +82,13 @@ FaultInjector::beginJob(const sim::ConvSpec &spec,
         }
     }
     counters_.armed += want;
-    for (const std::uint64_t site : armedSites_)
+    for (const std::uint64_t site : armedSites_) {
         markRow(site, true);
+        loudRows_.push_back(site % ofStride_);
+    }
+    std::sort(loudRows_.begin(), loudRows_.end());
+    loudRows_.erase(std::unique(loudRows_.begin(), loudRows_.end()),
+                    loudRows_.end());
 }
 
 std::uint64_t

@@ -21,7 +21,9 @@
  *
  * A plan without PE faults publishes a sim::MacRowFilter per job: only
  * the operand rows that hold an armed site reach onMac, and the walks
- * settle every other row in bulk (docs/fault_injection.md).
+ * settle every other row in bulk. The filter lists those rows too, so
+ * a walk settles whole cycles that hold none of them
+ * (docs/fault_injection.md).
  */
 
 #ifndef GANACC_FAULT_INJECTOR_HH
@@ -116,6 +118,9 @@ class FaultInjector final : public sim::MacFaultHook
      * load, and only a bucket hit pays the exact test.
      */
     std::vector<std::uint64_t> rowMap_;
+    /** The armed sites' rows, ascending and distinct: the filter's
+     *  list of loud rows, so a walk can settle whole cycles. */
+    std::vector<std::uint64_t> loudRows_;
     sim::MacRowFilter filter_;
     Counters counters_;
 };

@@ -24,6 +24,37 @@ Unroll::str() const
     return os.str();
 }
 
+Architecture::MacPath::MacPath(MacFaultHook *hook,
+                               const CycleProjection &proj)
+    : hook_(hook), presented_(hook != nullptr)
+{
+    if (hook_ == nullptr)
+        return;
+    ineffectual_ = hook_->visitIneffectual();
+    const MacRowFilter *f = hook_->rowFilter();
+    if (f == nullptr)
+        return;
+    filter_ = *f;
+    filtered_ = true;
+    // A settled cycle tallies its ineffectual MACs as quiet, so only a
+    // walk that would visit them may settle it.
+    if (!ineffectual_ || filter_.rows == nullptr)
+        return;
+    settles_ = true;
+    const std::uint64_t *const stride = filter_.stride;
+    for (const std::uint64_t row : *filter_.rows) {
+        const std::uint64_t in_c = row % stride[0],
+                            in_oy = in_c % stride[1],
+                            in_ox = in_oy % stride[2];
+        const std::uint64_t bit =
+            proj.key(int(row / stride[0]), int(in_c / stride[1]),
+                     int(in_oy / stride[2]), int(in_ox / stride[3]),
+                     int(in_ox % stride[3])) &
+            kCycleMask;
+        cycleBits_[bit >> 6] |= std::uint64_t(1) << (bit & 63);
+    }
+}
+
 void
 Architecture::hookedRow(MacFaultHook &hook, const RowOperands &row, float v,
                         MacContext ctx, int of_cnt)
@@ -34,6 +65,39 @@ Architecture::hookedRow(MacFaultHook &hook, const RowOperands &row, float v,
         ctx.of = of0 + f;
         row.acc[f * row.accStep] += hook.onMac(ctx, v, row.k[f * row.kStep]);
     }
+}
+
+void
+Architecture::RegisterBlock::load(const ConvSpec &spec,
+                                  const tensor::Tensor &out, int c)
+{
+    const std::size_t step = RowOperands::sumStep(spec, out);
+    float *entry = sums_.data();
+    for (int i = 0; i < ny_; ++i)
+        for (int j = 0; j < nx_; ++j, entry += ofCnt_) {
+            const float *p =
+                out.data() + RowOperands::sumOffset(spec, out, of0_, c,
+                                                    y0_ + i * step_,
+                                                    x0_ + j * step_);
+            for (int f = 0; f < ofCnt_; ++f)
+                entry[f] = p[std::size_t(f) * step];
+        }
+}
+
+void
+Architecture::RegisterBlock::store(const ConvSpec &spec,
+                                   tensor::Tensor &out, int c) const
+{
+    const std::size_t step = RowOperands::sumStep(spec, out);
+    const float *entry = sums_.data();
+    for (int i = 0; i < ny_; ++i)
+        for (int j = 0; j < nx_; ++j, entry += ofCnt_) {
+            float *p = out.data() + RowOperands::sumOffset(spec, out, of0_, c,
+                                                           y0_ + i * step_,
+                                                           x0_ + j * step_);
+            for (int f = 0; f < ofCnt_; ++f)
+                p[std::size_t(f) * step] = entry[f];
+        }
 }
 
 RunStats

@@ -14,8 +14,11 @@
 #ifndef GANACC_SIM_ARCH_HH
 #define GANACC_SIM_ARCH_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "sim/conv_spec.hh"
 #include "sim/fault_hook.hh"
@@ -138,24 +141,39 @@ class Architecture
     }
 
     /**
+     * What one cycle of a walk fixes, as five coefficients over a row
+     * (c, oy, ox, ky, kx): key() is the same for every row the cycle
+     * schedules, because the coordinates that vary within a cycle have
+     * coefficient zero. Two cycles may share a key; that costs time,
+     * never bits.
+     */
+    struct CycleProjection
+    {
+        std::uint64_t coef[5] = {}; ///< of c, oy, ox, ky, kx
+
+        std::uint64_t
+        key(int c, int oy, int ox, int ky, int kx) const
+        {
+            return coef[0] * std::uint64_t(c) + coef[1] * std::uint64_t(oy) +
+                   coef[2] * std::uint64_t(ox) + coef[3] * std::uint64_t(ky) +
+                   coef[4] * std::uint64_t(kx);
+        }
+    };
+
+    /**
      * The MAC path of one functional walk, built from faultHook() when
      * the walk starts: the hook, its row filter and visitIneffectual(),
-     * read once. Quiet rows are tallied here and added to the filter's
-     * counter when the path goes out of scope.
+     * read once. The walk calls cycle() once per cycle. When the hook
+     * visits ineffectual slots and its filter lists its loud rows,
+     * those rows are projected into a cycle bitmap here, so a cycle
+     * holding none of them is settled without a per-row test. Quiet
+     * MACs are tallied here and added to the filter's counter when the
+     * path goes out of scope.
      */
     class MacPath
     {
       public:
-        explicit MacPath(MacFaultHook *hook) : hook_(hook)
-        {
-            if (hook_ == nullptr)
-                return;
-            ineffectual_ = hook_->visitIneffectual();
-            if (const MacRowFilter *f = hook_->rowFilter()) {
-                filter_ = *f;
-                filtered_ = true;
-            }
-        }
+        MacPath(MacFaultHook *hook, const CycleProjection &proj);
         ~MacPath()
         {
             if (quiet_ != 0)
@@ -164,17 +182,61 @@ class Architecture
         MacPath(const MacPath &) = delete;
         MacPath &operator=(const MacPath &) = delete;
 
-        /** True when a row with this effectuality must reach macRow. */
-        bool visits(bool useful) const { return useful || ineffectual_; }
+        /**
+         * Open one cycle: `key` under the walk's projection and the
+         * cycle's `macs` scheduled MACs, effectual and ineffectual.
+         * True when the hook must see the cycle's rows, which then take
+         * the per-row test in macRow/blockMacRow. False without a hook,
+         * or for a settled cycle: its MACs are tallied as quiet and it
+         * runs exactly as the unhooked walk would.
+         */
+        bool
+        cycle(std::uint64_t key, std::uint64_t macs)
+        {
+            if (!settles_)
+                return presented_;
+            const std::uint64_t bit = key & kCycleMask;
+            presented_ = (cycleBits_[bit >> 6] >> (bit & 63) & 1) != 0;
+            if (!presented_)
+                quiet_ += macs;
+            return presented_;
+        }
+
+        /** True when a row with this effectuality must reach macRow
+         *  or blockMacRow in the open cycle. */
+        bool visits(bool useful) const
+        {
+            return useful || (presented_ && ineffectual_);
+        }
 
       private:
         friend class Architecture;
 
+        /** The cycle bitmap: 2^16 bits, 8 KB. */
+        static constexpr std::uint64_t kCycleMask = (1u << 16) - 1;
+
+        /** The per-row test of the open cycle: true when the hook sees
+         *  this row; a quiet row's MACs are tallied. */
+        bool
+        presents(int c, int oy, int ox, int ky, int kx, int of_cnt)
+        {
+            if (!presented_)
+                return false;
+            if (!filtered_ || filter_.loud(c, oy, ox, ky, kx))
+                return true;
+            quiet_ += std::uint64_t(of_cnt);
+            return false;
+        }
+
         MacFaultHook *hook_;
         bool ineffectual_ = false; ///< visit ineffectual slots
         bool filtered_ = false;    ///< false: present every MAC
+        bool settles_ = false;     ///< cycle() reads the cycle bitmap
+        bool presented_ = false;   ///< the open cycle goes row by row
         MacRowFilter filter_;
-        std::uint64_t quiet_ = 0;  ///< MACs of quiet rows
+        std::uint64_t quiet_ = 0;  ///< MACs of quiet rows and cycles
+        /** Bit key & kCycleMask set when a loud row projects there. */
+        std::uint64_t cycleBits_[(kCycleMask + 1) / 64] = {};
     };
 
     /** One operand row's accumulators and kernel weights: strided runs
@@ -186,49 +248,78 @@ class Architecture
         const float *k;
         std::size_t kStep;
 
+        RowOperands(float *sums, std::size_t sum_step, const float *weights,
+                    std::size_t weight_step)
+            : acc(sums), accStep(sum_step), k(weights), kStep(weight_step)
+        {
+        }
+
         RowOperands(const ConvSpec &spec, const tensor::Tensor &w,
                     tensor::Tensor &out, int of0, int c, int oy, int ox,
                     int ky, int kx)
+            : acc(out.data() + sumOffset(spec, out, of0, c, oy, ox)),
+              accStep(sumStep(spec, out)),
+              k(w.data() + weightOffset(spec, w, of0, c, ky, kx)),
+              kStep(weightStep(w))
         {
-            // Four-dimension jobs index the kernel by `of` alone and
-            // keep one output plane per (of, c).
-            const bool four = spec.fourDimOutput;
-            const tensor::Shape4 &os = out.shape(), &ks = w.shape();
-            acc = out.data() + (four ? os.offset(of0, c, oy, ox)
-                                     : os.offset(0, of0, oy, ox));
-            accStep = std::size_t(os.d2) * os.d3 * (four ? os.d1 : 1);
-            k = w.data() + ks.offset(of0, four ? 0 : c, ky, kx);
-            kStep = std::size_t(ks.d1) * ks.d2 * ks.d3;
+        }
+
+        // Four-dimension jobs index the kernel by `of` alone and keep
+        // one output plane per (of, c).
+        static std::size_t
+        sumOffset(const ConvSpec &spec, const tensor::Tensor &out, int of0,
+                  int c, int oy, int ox)
+        {
+            return spec.fourDimOutput ? out.shape().offset(of0, c, oy, ox)
+                                      : out.shape().offset(0, of0, oy, ox);
+        }
+        static std::size_t
+        sumStep(const ConvSpec &spec, const tensor::Tensor &out)
+        {
+            const tensor::Shape4 &os = out.shape();
+            return std::size_t(os.d2) * os.d3 *
+                   (spec.fourDimOutput ? os.d1 : 1);
+        }
+        static std::size_t
+        weightOffset(const ConvSpec &spec, const tensor::Tensor &w, int of0,
+                     int c, int ky, int kx)
+        {
+            return w.shape().offset(of0, spec.fourDimOutput ? 0 : c, ky, kx);
+        }
+        static std::size_t
+        weightStep(const tensor::Tensor &w)
+        {
+            const tensor::Shape4 &ks = w.shape();
+            return std::size_t(ks.d1) * ks.d2 * ks.d3;
         }
     };
 
     /**
      * One scheduled operand row: streamed input `v` times the `of_cnt`
      * kernel weights of output maps [of0, of0 + of_cnt) at (c, ky, kx),
-     * on physical lanes lane0 + f. `useful` means both operands are
-     * structurally non-zero (a walk may also clear it for a zero input
-     * value). Call only when path.visits(x) holds, where x may be a
-     * weaker test than `useful`: OST visits every tap whose input is
-     * non-zero, structural kernel zeros included, because its array
-     * streams them. A row the hook does not see — no hook, or a row
-     * the filter marks quiet — is multiplied only when `useful`: an
-     * ineffectual one adds ±0 on finite operands, which never changes
-     * an accumulator that starts at +0.
+     * on physical lanes lane0 + f, read and accumulated in place in the
+     * strided tensors. `useful` means both operands are structurally
+     * non-zero (a walk may also clear it for a zero input value). Call
+     * only when path.visits(x) holds, where x may be a weaker test than
+     * `useful`: OST visits every tap whose input is non-zero,
+     * structural kernel zeros included, because its array streams
+     * them. A row the hook does not see — no hook, a settled cycle, or
+     * a row the filter marks quiet — is multiplied only when `useful`:
+     * an ineffectual one adds ±0 on finite operands, which never
+     * changes an accumulator that starts at +0. NLR uses this form:
+     * its weights are not reused within a cycle window, so staging
+     * them would not pay.
      */
     void
     macRow(MacPath &path, const ConvSpec &spec, const tensor::Tensor &w,
            tensor::Tensor &out, float v, bool useful, int lane0, int of0,
            int of_cnt, int c, int oy, int ox, int ky, int kx) const
     {
-        if (path.hook_ != nullptr) {
-            if (!path.filtered_ || path.filter_.loud(c, oy, ox, ky, kx)) {
-                hookedRow(*path.hook_,
-                          RowOperands(spec, w, out, of0, c, oy, ox, ky, kx),
-                          v, MacContext{lane0, of0, c, oy, ox, ky, kx},
-                          of_cnt);
-                return;
-            }
-            path.quiet_ += std::uint64_t(of_cnt);
+        if (path.presents(c, oy, ox, ky, kx, of_cnt)) {
+            hookedRow(*path.hook_,
+                      RowOperands(spec, w, out, of0, c, oy, ox, ky, kx), v,
+                      MacContext{lane0, of0, c, oy, ox, ky, kx}, of_cnt);
+            return;
         }
         if (!useful)
             return;
@@ -237,8 +328,105 @@ class Architecture
             row.acc[f * row.accStep] += v * row.k[f * row.kStep];
     }
 
-    /** macRow's hooked path: every MAC of the row through onMac; `ctx`
-     *  holds the row's first lane and output map. */
+    /**
+     * macRow on a register block: `acc` is the row's block entry and
+     * `k` its staged weights, both `of_cnt` contiguous floats. Each
+     * entry is one accumulator that only its tile or plane touches, in
+     * walk order, and the block is loaded before and stored after, so
+     * the bits are those of accumulating in place. The hook sees the
+     * same (ctx, a, b).
+     */
+    void
+    blockMacRow(MacPath &path, float *acc, const float *k, float v,
+                bool useful, const MacContext &ctx, int of_cnt) const
+    {
+        if (path.presents(ctx.c, ctx.oy, ctx.ox, ctx.ky, ctx.kx, of_cnt)) {
+            hookedRow(*path.hook_, RowOperands(acc, 1, k, 1), v, ctx,
+                      of_cnt);
+            return;
+        }
+        if (useful)
+            blockRow(acc, k, v, of_cnt);
+    }
+
+    /**
+     * The plain contiguous row: acc[f] += v * k[f] for f < n. A fixed
+     * 8-wide chunk plus a scalar tail, so the default -O2 vectorizer
+     * takes the chunk; each lane is its own accumulator, so the bits
+     * are the scalar loop's (library code is built without FP
+     * contraction).
+     */
+    static void
+    blockRow(float *__restrict acc, const float *__restrict k, float v,
+             int n)
+    {
+        int f = 0;
+        for (; f + 8 <= n; f += 8)
+            for (int j = 0; j < 8; ++j)
+                acc[f + j] += v * k[f + j];
+        for (; f < n; ++f)
+            acc[f] += v * k[f];
+    }
+
+    /**
+     * A register block: the partial sums of output maps
+     * [of0, of0 + of_cnt) at a grid of output positions
+     * (y0 + i * step, x0 + j * step), i < ny, j < nx, held
+     * [position][of]. load() copies them in from the output tensor
+     * before the block's first contribution and store() copies them
+     * back after its last, for input map c on 4-D outputs.
+     */
+    class RegisterBlock
+    {
+      public:
+        /** Place the block on a grid; keeps the buffer's capacity. */
+        void
+        place(int of0, int of_cnt, int y0, int x0, int step, int ny, int nx)
+        {
+            of0_ = of0;
+            ofCnt_ = of_cnt;
+            y0_ = y0;
+            x0_ = x0;
+            step_ = step;
+            ny_ = ny;
+            nx_ = nx;
+            sums_.resize(std::size_t(ny) * std::size_t(nx) *
+                         std::size_t(of_cnt));
+        }
+
+        /** The entry of grid position (i, j): of_cnt contiguous sums. */
+        float *
+        at(int i, int j)
+        {
+            return sums_.data() +
+                   (std::size_t(i) * std::size_t(nx_) + std::size_t(j)) *
+                       std::size_t(ofCnt_);
+        }
+
+        void load(const ConvSpec &spec, const tensor::Tensor &out, int c);
+        void store(const ConvSpec &spec, tensor::Tensor &out, int c) const;
+
+      private:
+        int of0_ = 0, ofCnt_ = 0, y0_ = 0, x0_ = 0, step_ = 1, ny_ = 0,
+            nx_ = 0;
+        std::vector<float> sums_;
+    };
+
+    /** Stage the `of_cnt` weights of output maps [of0, ...) at
+     *  (c, ky, kx) contiguously in `dst`. */
+    static void
+    stageWeights(const ConvSpec &spec, const tensor::Tensor &w, int of0,
+                 int of_cnt, int c, int ky, int kx, float *dst)
+    {
+        const float *p =
+            w.data() + RowOperands::weightOffset(spec, w, of0, c, ky, kx);
+        const std::size_t step = RowOperands::weightStep(w);
+        for (int f = 0; f < of_cnt; ++f)
+            dst[f] = p[f * step];
+    }
+
+    /** The hooked path of a row: every MAC of the row through onMac;
+     *  `ctx` holds the row's first lane and output map. */
     static void hookedRow(MacFaultHook &hook, const RowOperands &row,
                           float v, MacContext ctx, int of_cnt);
 

@@ -3,10 +3,10 @@
  * The MAC-path fault-injection hook.
  *
  * Every dataflow's functional inner loop produces its products through
- * Architecture::macRow() (one operand row at a time) or, in CNV and
- * RST, Architecture::macProduct(); both forward to an installed
- * MacFaultHook (src/fault implements one). The hook sees the full
- * logical coordinate of each *physically scheduled* multiply — the
+ * Architecture::macRow() or blockMacRow() (one operand row at a time)
+ * or, in CNV and RST, Architecture::macProduct(); all forward to an
+ * installed MacFaultHook (src/fault implements one). The hook sees the
+ * full logical coordinate of each *physically scheduled* multiply — the
  * lattice point (of, c, oy, ox, ky, kx) plus the physical PE lane the
  * dataflow maps it to — so one hook covers NLR/WST/OST/ZFOST/ZFWST
  * (and CNV/RST) without per-dataflow fault logic.
@@ -28,13 +28,17 @@
  * scheduled MAC: the NLR/WST/OST/ZFOST/ZFWST walks present only the
  * rows the filter marks, and settle every other scheduled row in bulk
  * through MacRowFilter::quietMacs — so a count of scheduled MACs kept
- * there still covers every one. CNV and RST ignore the filter.
+ * there still covers every one. A filter that also lists its loud rows
+ * lets a walk that visits ineffectual slots settle whole cycles: it
+ * asks once per cycle, and only a cycle that may hold a listed row
+ * reaches the per-row test. CNV and RST ignore the filter.
  */
 
 #ifndef GANACC_SIM_FAULT_HOOK_HH
 #define GANACC_SIM_FAULT_HOOK_HH
 
 #include <cstdint>
+#include <vector>
 
 namespace ganacc {
 namespace sim {
@@ -68,8 +72,17 @@ struct MacRowFilter
     std::uint64_t mask = 0;  ///< bucket count minus one (2^k - 1)
     const std::uint64_t *bits = nullptr; ///< one bit per bucket
     /** The hook's count of scheduled MACs: each walk adds the MACs of
-     *  its quiet rows here once, when it ends. Must not be null. */
+     *  its quiet rows and settled cycles here once, when it ends. Must
+     *  not be null. */
     std::uint64_t *quietMacs = nullptr;
+    /**
+     * Every row whose MACs onMac may alter, as row numbers, or nullptr
+     * for no list. Each listed row's bucket bit must be set; a row not
+     * listed promises `a * b` for every `of`, whatever its bucket. With
+     * a list, a walk may settle a whole cycle that holds none of these
+     * rows without testing its rows one by one.
+     */
+    const std::vector<std::uint64_t> *rows = nullptr;
 
     /** True when the row's bucket may hold a MAC onMac would alter. */
     bool

@@ -36,7 +36,13 @@ Nlr::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
     const bool functional = in != nullptr;
     const int n_pes = numPes();
     ScheduleRecorder *const rec = schedRec();
-    MacPath path(faultHook());
+    // A cycle fixes (oy, ox, ky, kx), and c too on 4-D outputs; on
+    // other jobs it spans pIf input maps.
+    const std::uint64_t taps = std::uint64_t(spec.kh) * spec.kw;
+    const CycleProjection proj{
+        {spec.fourDimOutput ? taps * spec.oh * spec.ow : 0,
+         taps * spec.ow, taps, std::uint64_t(spec.kw), 1}};
+    MacPath path(faultHook(), proj);
     RunStats st;
 
     // Partial sums live in the global output buffer, zero-initialized;
@@ -119,7 +125,11 @@ Nlr::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                                 // multipliers, so the fault hook visits
                                 // them too; their fault-free product is
                                 // zero.
-                                if (functional && path.visits(in_bounds)) {
+                                if (!functional)
+                                    continue;
+                                path.cycle(proj.key(c0, oy, ox, ky, kx),
+                                           active);
+                                if (path.visits(in_bounds)) {
                                     for (int c = c0; c < c0 + if_cnt; ++c)
                                         macRow(path, spec, *w, *out,
                                                in->getPadded(0, c, iy, ix),
@@ -165,7 +175,11 @@ Nlr::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                                     st.ineffectualMacs += active;
                                 st.idlePeSlots +=
                                     std::uint64_t(n_pes) - active;
-                                if (functional && path.visits(in_bounds))
+                                if (!functional)
+                                    continue;
+                                path.cycle(proj.key(c, oy, ox, ky, kx),
+                                           active);
+                                if (path.visits(in_bounds))
                                     macRow(path, spec, *w, *out,
                                            in->getPadded(0, c, iy, ix),
                                            in_bounds, 0, of0, of_cnt, c, oy,

@@ -6,6 +6,7 @@
 #include "sim/output_stationary.hh"
 
 #include <algorithm>
+#include <vector>
 
 #include "sim/closed_form.hh"
 
@@ -21,11 +22,20 @@ OutputStationary::doRun(const ConvSpec &spec, const Tensor *in,
     const bool functional = in != nullptr;
     const int n_pes = numPes();
     ScheduleRecorder *const rec = schedRec();
-    MacPath path(faultHook());
+    // A cycle fixes (c, ky, kx) and spans the tile's positions.
+    const CycleProjection proj{
+        {std::uint64_t(spec.kh) * spec.kw, 0, 0, std::uint64_t(spec.kw), 1}};
+    MacPath path(faultHook(), proj);
     // A raster feed on a strided job loses the register array's shift
     // alignment and reloads the whole tile every cycle (Fig. 7(b)).
     const bool shifts = reordered_feed_ || spec.stride == 1;
     RunStats st;
+    // The tile's partial sums live in a register block for each
+    // accumulation window; each cycle stages its weights beside it.
+    RegisterBlock block;
+    std::vector<float> wts;
+    if (functional)
+        wts.resize(std::size_t(unroll_.pOf));
 
     for (const ParityClass &cls : parityClasses(spec, zero_free_)) {
         if (cls.empty())
@@ -39,6 +49,11 @@ OutputStationary::doRun(const ConvSpec &spec, const Tensor *in,
                     const int tx_cnt = std::min(unroll_.pOx, n_x - t_x0);
                     const int tile = ty_cnt * tx_cnt;
                     const std::uint64_t cells = std::uint64_t(tile) * of_cnt;
+                    if (functional)
+                        block.place(of0, of_cnt,
+                                    cls.y.first + t_y0 * cls.step,
+                                    cls.x.first + t_x0 * cls.step, cls.step,
+                                    ty_cnt, tx_cnt);
                     // The accumulation window of the output-stationary
                     // register array: cleared at tile start, drained
                     // once the tile's contributions are complete — per
@@ -46,10 +61,14 @@ OutputStationary::doRun(const ConvSpec &spec, const Tensor *in,
                     // nif loop otherwise.
                     if (rec && !spec.fourDimOutput)
                         rec->onWindowBegin(cells, WindowKind::RegisterTile);
+                    if (functional && !spec.fourDimOutput)
+                        block.load(spec, *out, 0);
                     for (int c = 0; c < spec.nif; ++c) {
                         if (rec && spec.fourDimOutput)
                             rec->onWindowBegin(cells,
                                                WindowKind::RegisterTile);
+                        if (functional && spec.fourDimOutput)
+                            block.load(spec, *out, c);
                         bool first_kpos = true;
                         for (int ky : cls.y.taps) {
                             bool row_start = true;
@@ -113,33 +132,59 @@ OutputStationary::doRun(const ConvSpec &spec, const Tensor *in,
                                 // multipliers, so the fault hook may
                                 // ask to see them. A structural-zero
                                 // tap is visited too, but only a hook
-                                // that presents its row multiplies it.
-                                for (int dy = 0; dy < ty_cnt; ++dy)
+                                // that presents its row multiplies it;
+                                // in any other cycle it does nothing.
+                                const bool hooked = path.cycle(
+                                    proj.key(c, 0, 0, ky, kx), cells);
+                                if (!hooked && k_zero)
+                                    continue;
+                                // Weights are staged on the first row
+                                // that needs them; in a cycle the hook
+                                // does not see, a row of padding has
+                                // nothing to multiply.
+                                bool staged = false;
+                                for (int dy = 0; dy < ty_cnt; ++dy) {
+                                    const int oy =
+                                        cls.y.first + (t_y0 + dy) * cls.step;
+                                    const int iy =
+                                        oy * spec.stride + ky - spec.pad;
+                                    if (!hooked && (iy < 0 || iy >= spec.ih))
+                                        continue;
                                     for (int dx = 0; dx < tx_cnt; ++dx) {
-                                        const int oy =
-                                            cls.y.first +
-                                            (t_y0 + dy) * cls.step;
                                         const int ox =
                                             cls.x.first +
                                             (t_x0 + dx) * cls.step;
                                         const float v = in->getPadded(
-                                            0, c,
-                                            oy * spec.stride + ky - spec.pad,
+                                            0, c, iy,
                                             ox * spec.stride + kx -
                                                 spec.pad);
-                                        if (path.visits(v != 0.0f))
-                                            macRow(path, spec, *w, *out, v,
-                                                   v != 0.0f && !k_zero,
-                                                   (dy * unroll_.pOx + dx) *
-                                                       unroll_.pOf,
-                                                   of0, of_cnt, c, oy, ox,
-                                                   ky, kx);
+                                        if (!path.visits(v != 0.0f))
+                                            continue;
+                                        if (!staged) {
+                                            stageWeights(spec, *w, of0,
+                                                         of_cnt, c, ky, kx,
+                                                         wts.data());
+                                            staged = true;
+                                        }
+                                        const int lane0 =
+                                            (dy * unroll_.pOx + dx) *
+                                            unroll_.pOf;
+                                        blockMacRow(
+                                            path, block.at(dy, dx),
+                                            wts.data(), v,
+                                            v != 0.0f && !k_zero,
+                                            MacContext{lane0, of0, c, oy,
+                                                       ox, ky, kx},
+                                            of_cnt);
                                     }
+                                }
                             }
                         }
                         // Four-dimension outputs leave the array per
                         // input feature map (a fresh (of, if) plane).
                         if (spec.fourDimOutput) {
+                            if (functional)
+                                block.store(spec, *out, c);
                             st.outputWrites += cells;
                             if (rec) {
                                 rec->onPort(SchedPort::OutputWrite, cells);
@@ -151,6 +196,8 @@ OutputStationary::doRun(const ConvSpec &spec, const Tensor *in,
                     // Accumulating convs keep partial sums in the PE
                     // registers across the whole nif loop and write once.
                     if (!spec.fourDimOutput) {
+                        if (functional)
+                            block.store(spec, *out, 0);
                         st.outputWrites += cells;
                         if (rec) {
                             rec->onPort(SchedPort::OutputWrite, cells);

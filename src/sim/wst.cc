@@ -98,7 +98,14 @@ Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
     const bool functional = in != nullptr;
     const int n_pes = numPes();
     ScheduleRecorder *const rec = schedRec();
-    MacPath path(faultHook());
+    // A cycle fixes (c, iy, ix): a row's key is
+    // c * A + (oy * s + ky) * M + (ox * s + kx), and oy * s + ky is
+    // iy + pad, ox * s + kx is ix + pad.
+    const std::uint64_t key_m = std::uint64_t(spec.iw) + spec.pad;
+    const std::uint64_t key_a = (std::uint64_t(spec.ih) + spec.pad) * key_m;
+    const CycleProjection proj{{key_a, std::uint64_t(spec.stride) * key_m,
+                                std::uint64_t(spec.stride), key_m, 1}};
+    MacPath path(faultHook(), proj);
     RunStats st;
 
     const int ktiles_y = (spec.kh + unroll_.pKy - 1) / unroll_.pKy;
@@ -107,6 +114,13 @@ Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
     // kernel tile; the cycle loop pairs the two lists.
     const TapTable rows(spec, true, unroll_.pKy, unroll_.pKx * unroll_.pOf);
     const TapTable cols(spec, false, unroll_.pKx, unroll_.pOf);
+    // The register block holds the of-tile's partial sums over the
+    // whole output plane; the resident weights are staged [tap][of], a
+    // tap's run at its first lane.
+    RegisterBlock block;
+    std::vector<float> wts;
+    if (functional)
+        wts.resize(std::size_t(n_pes));
 
     // Partial sums accumulate in the zero-initialized output buffer
     // across every pass: one job-wide write-through window.
@@ -117,6 +131,11 @@ Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
 
     for (int of0 = 0; of0 < spec.nof; of0 += unroll_.pOf) {
         const int of_cnt = std::min(unroll_.pOf, spec.nof - of0);
+        if (functional) {
+            block.place(of0, of_cnt, 0, 0, 1, spec.oh, spec.ow);
+            if (!spec.fourDimOutput)
+                block.load(spec, *out, 0);
+        }
         for (int kty = 0; kty < ktiles_y; ++kty) {
             const int ky0 = kty * unroll_.pKy;
             const int ky_cnt = std::min(unroll_.pKy, spec.kh - ky0);
@@ -131,6 +150,17 @@ Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                                 std::uint64_t(ky_cnt) * kx_cnt * of_cnt);
 
                 for (int c = 0; c < spec.nif; ++c) {
+                    if (functional) {
+                        if (spec.fourDimOutput)
+                            block.load(spec, *out, c);
+                        for (int ky = ky0; ky < ky0 + ky_cnt; ++ky)
+                            for (int kx = kx0; kx < kx0 + kx_cnt; ++kx)
+                                stageWeights(
+                                    spec, *w, of0, of_cnt, c, ky, kx,
+                                    wts.data() +
+                                        ((ky - ky0) * unroll_.pKx + kx -
+                                         kx0) * unroll_.pOf);
+                    }
                     for (int iy = 0; iy < spec.ih; ++iy) {
                         const TapTable::Tap *const ry0 = rows.begin(kty, iy);
                         const TapTable::Tap *const ry1 = rows.end(kty, iy);
@@ -171,6 +201,11 @@ Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                             const int eff =
                                 in_zero ? 0
                                         : row_nz * cols.nonzeroTaps(ktx, ix);
+                            if (functional)
+                                path.cycle(proj.key(c, 0, 0,
+                                                    iy + spec.pad,
+                                                    ix + spec.pad),
+                                           std::uint64_t(contrib) * of_cnt);
                             if (rec || (functional &&
                                         path.visits(eff != 0))) {
                                 const float v =
@@ -204,10 +239,15 @@ Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                                         // hook on request.
                                         if (functional &&
                                             path.visits(useful))
-                                            macRow(path, spec, *w, *out,
-                                                   v, useful, lane0, of0,
-                                                   of_cnt, c, ty->o,
-                                                   tx->o, ty->k, tx->k);
+                                            blockMacRow(
+                                                path,
+                                                block.at(ty->o, tx->o),
+                                                wts.data() + lane0, v,
+                                                useful,
+                                                MacContext{lane0, of0, c,
+                                                           ty->o, tx->o,
+                                                           ty->k, tx->k},
+                                                of_cnt);
                                     }
                             }
                             st.effectiveMacs +=
@@ -233,9 +273,13 @@ Wst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                             }
                         }
                     }
+                    if (functional && spec.fourDimOutput)
+                        block.store(spec, *out, c);
                 }
             }
         }
+        if (functional && !spec.fourDimOutput)
+            block.store(spec, *out, 0);
     }
     if (rec)
         rec->onWindowEnd();

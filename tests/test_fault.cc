@@ -18,6 +18,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign_matrix.hh"
@@ -318,7 +319,10 @@ firedLatticePoints(fault::FaultInjector &injector, const ConvSpec &s)
 /**
  * Expect the injector's row filter to mark exactly the buckets that
  * hold one of `sites` (lattice indices) and nothing else: a bit left
- * over from an earlier job would send a quiet row through onMac.
+ * over from an earlier job would send a quiet row through onMac. Its
+ * list of loud rows must be exactly the sites' rows, ascending and
+ * distinct: a row left over would only cost time, but a missing one
+ * would let a walk settle a cycle that holds an armed site.
  */
 void
 expectRowBitsExactly(const fault::FaultInjector &injector,
@@ -334,14 +338,22 @@ expectRowBitsExactly(const fault::FaultInjector &injector,
     EXPECT_EQ(buckets, std::uint64_t(1) << 18);
 
     std::set<std::uint64_t> want;
-    for (const std::uint64_t site : sites)
+    std::set<std::uint64_t> want_rows;
+    for (const std::uint64_t site : sites) {
         want.insert((site % rows) & filter->mask);
+        want_rows.insert(site % rows);
+    }
     std::size_t set_bits = 0;
     for (std::uint64_t i = 0; i < buckets / 64; ++i)
         set_bits += std::bitset<64>(filter->bits[i]).count();
     EXPECT_EQ(set_bits, want.size()) << rows;
     for (const std::uint64_t b : want)
         EXPECT_NE(filter->bits[b >> 6] >> (b & 63) & 1, 0u) << rows;
+
+    ASSERT_NE(filter->rows, nullptr);
+    EXPECT_EQ(*filter->rows, std::vector<std::uint64_t>(want_rows.begin(),
+                                                        want_rows.end()))
+        << rows;
 }
 
 TEST(FaultInjector, PrefilterFiresExactlyTheArmedSites)
@@ -386,6 +398,9 @@ TEST(FaultInjector, PrefilterFiresExactlyTheArmedSites)
                   s.denseMacs());
         // Every armed site fired, so `fired` is the armed set.
         expectRowBitsExactly(injector, s, fired);
+        if (armed == 0) {
+            EXPECT_TRUE(injector.rowFilter()->rows->empty());
+        }
     }
 }
 
@@ -463,6 +478,52 @@ class PerMacHook final : public sim::MacFaultHook
     fault::FaultInjector &inner_;
 };
 
+/** Forwards to an injector and republishes its row filter without
+ *  the list of loud rows, so a walk tests every row of every cycle. */
+class RowlessHook final : public sim::MacFaultHook
+{
+  public:
+    explicit RowlessHook(fault::FaultInjector &inner) : inner_(inner) {}
+
+    float
+    onMac(const sim::MacContext &ctx, float a, float b) override
+    {
+        return inner_.onMac(ctx, a, b);
+    }
+
+    bool visitIneffectual() const override
+    {
+        return inner_.visitIneffectual();
+    }
+
+    const sim::MacRowFilter *
+    rowFilter() const override
+    {
+        const sim::MacRowFilter *f = inner_.rowFilter();
+        if (f == nullptr)
+            return nullptr;
+        filter_ = *f;
+        filter_.rows = nullptr;
+        return &filter_;
+    }
+
+  private:
+    fault::FaultInjector &inner_;
+    mutable sim::MacRowFilter filter_;
+};
+
+/** Run `arch` on one job under `hook`, into a fresh output. */
+Tensor
+hookedRun(sim::Architecture &arch, sim::MacFaultHook &hook,
+          const ConvSpec &s, const Tensor &in, const Tensor &w)
+{
+    Tensor out = sim::makeOutputTensor(s);
+    arch.setFaultHook(&hook);
+    arch.run(s, &in, &w, &out);
+    arch.setFaultHook(nullptr);
+    return out;
+}
+
 /** The campaign's six columns at random small unrollings. */
 std::vector<std::unique_ptr<sim::Architecture>>
 campaignColumns(Rng &rng)
@@ -491,7 +552,9 @@ TEST(FaultInjector, RowFilterMatchesPerMacPath)
 {
     // Three plans: transient-only (filtered), a stuck lane on top (no
     // filter either way), memory-only (filtered, every row quiet, and
-    // ineffectual slots unvisited).
+    // ineffectual slots unvisited). The filter is read with its list of
+    // loud rows (whole cycles settle) and without it (every row of
+    // every cycle is tested).
     fault::FaultPlan transient;
     transient.seed = 29;
     transient.transient.sitesPerJob = 64;
@@ -528,24 +591,98 @@ TEST(FaultInjector, RowFilterMatchesPerMacPath)
         const Tensor w = sim::makeStreamedKernel(s, rng);
         for (const auto &arch : campaignColumns(rng)) {
             for (const fault::FaultPlan *plan : plans) {
-                fault::FaultInjector filtered(*plan), per_mac(*plan);
+                fault::FaultInjector filtered(*plan), rowless(*plan),
+                    per_mac(*plan);
                 filtered.beginJob(s, j);
+                rowless.beginJob(s, j);
                 per_mac.beginJob(s, j);
                 EXPECT_EQ(filtered.rowFilter() != nullptr,
                           plan->peFaults.empty());
+                RowlessHook no_rows(rowless);
                 PerMacHook forward(per_mac);
 
-                Tensor got = sim::makeOutputTensor(s);
-                arch->setFaultHook(&filtered);
-                arch->run(s, &in, &w, &got);
-                Tensor want = sim::makeOutputTensor(s);
-                arch->setFaultHook(&forward);
-                arch->run(s, &in, &w, &want);
-                arch->setFaultHook(nullptr);
+                const Tensor got = hookedRun(*arch, filtered, s, in, w);
+                const Tensor got_rowless =
+                    hookedRun(*arch, no_rows, s, in, w);
+                const Tensor want = hookedRun(*arch, forward, s, in, w);
 
                 const std::string where =
                     arch->name() + " " + plan->describe() + " on " +
                     s.describe();
+                const auto expectSame = [&](const fault::FaultInjector &run,
+                                            const Tensor &out,
+                                            const std::string &which) {
+                    EXPECT_EQ(0, std::memcmp(out.data(), want.data(),
+                                             out.numel() * sizeof(float)))
+                        << which;
+                    const auto &a = run.counters();
+                    const auto &b = per_mac.counters();
+                    EXPECT_EQ(a.armed, b.armed) << which;
+                    EXPECT_EQ(a.fired, b.fired) << which;
+                    EXPECT_EQ(a.macsObserved, b.macsObserved) << which;
+                    EXPECT_EQ(a.peHits, b.peHits) << which;
+                };
+                expectSame(filtered, got, where);
+                expectSame(rowless, got_rowless, where + " (no row list)");
+                fired += filtered.counters().fired;
+                peHits += filtered.counters().peHits;
+            }
+        }
+    }
+    // The corpus really exercises loud rows and the stuck lane.
+    EXPECT_GT(fired, 0u);
+    EXPECT_GT(peHits, 0u);
+}
+
+/** The campaign's own transient plan on its own shapes: the 16
+ *  MNIST-GAN jobs in the six columns at the paper unrolls, 256 sites a
+ *  job. Of_cnt there reaches the block rows' 8-wide body, and most
+ *  cycles settle; outputs and counters must match a forwarding hook
+ *  that publishes no filter, bit for bit. */
+TEST(FaultInjector, SettledCyclesMatchPerMacPathOnCampaignShapes)
+{
+    fault::FaultPlan plan;
+    plan.seed = 31;
+    plan.transient.sitesPerJob = 256;
+
+    struct Job
+    {
+        ConvSpec spec;
+        Tensor in, w;
+    };
+    const gan::GanModel model = gan::makeMnistGan();
+    Rng rng(0xCA4F1E1DULL);
+    std::vector<std::vector<Job>> rows;
+    for (const tests::CampaignRow &row : tests::kCampaignRows) {
+        rows.emplace_back();
+        for (const ConvSpec &s : sim::familyJobs(model, row.family))
+            rows.back().push_back({s, sim::makeStreamedInput(s, rng),
+                                   sim::makeStreamedKernel(s, rng)});
+    }
+
+    // The per-MAC side is slow, so each row runs on its own thread; a
+    // failed assertion in the simulator is reported, not thrown out of
+    // the thread.
+    std::vector<std::uint64_t> fired(rows.size());
+    std::vector<std::thread> workers;
+    std::uint64_t first_job = 0;
+    const auto runRow = [&](std::size_t r, std::uint64_t job) {
+        const tests::CampaignRow &row = tests::kCampaignRows[r];
+        const auto columns = tests::campaignRowColumns(row);
+        for (const Job &j : rows[r]) {
+            for (const auto &arch : columns) {
+                fault::FaultInjector filtered(plan), per_mac(plan);
+                filtered.beginJob(j.spec, job);
+                per_mac.beginJob(j.spec, job);
+                PerMacHook forward(per_mac);
+                const Tensor got =
+                    hookedRun(*arch, filtered, j.spec, j.in, j.w);
+                const Tensor want =
+                    hookedRun(*arch, forward, j.spec, j.in, j.w);
+
+                const std::string where = std::string(row.name) + " " +
+                                          arch->name() + " on " +
+                                          j.spec.describe();
                 EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
                                          got.numel() * sizeof(float)))
                     << where;
@@ -554,15 +691,26 @@ TEST(FaultInjector, RowFilterMatchesPerMacPath)
                 EXPECT_EQ(a.armed, b.armed) << where;
                 EXPECT_EQ(a.fired, b.fired) << where;
                 EXPECT_EQ(a.macsObserved, b.macsObserved) << where;
-                EXPECT_EQ(a.peHits, b.peHits) << where;
-                fired += a.fired;
-                peHits += a.peHits;
+                fired[r] += a.fired;
             }
+            ++job;
         }
+    };
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        workers.emplace_back([&, r, first_job] {
+            try {
+                runRow(r, first_job);
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << tests::kCampaignRows[r].name << ": "
+                              << e.what();
+            }
+        });
+        first_job += rows[r].size();
     }
-    // The corpus really exercises loud rows and the stuck lane.
-    EXPECT_GT(fired, 0u);
-    EXPECT_GT(peHits, 0u);
+    for (std::thread &t : workers)
+        t.join();
+    for (std::size_t r = 0; r < rows.size(); ++r)
+        EXPECT_GT(fired[r], 0u) << tests::kCampaignRows[r].name;
 }
 
 /** Presents every scheduled MAC, ineffectual ones included, and
