@@ -56,14 +56,14 @@ Architecture::MacPath::MacPath(MacFaultHook *hook,
 }
 
 void
-Architecture::hookedRow(MacFaultHook &hook, const RowOperands &row, float v,
-                        MacContext ctx, int of_cnt)
+Architecture::hookedRow(MacFaultHook &hook, float *acc, const float *k,
+                        float v, MacContext ctx, int of_cnt)
 {
     const int lane0 = ctx.lane, of0 = ctx.of;
     for (int f = 0; f < of_cnt; ++f) {
         ctx.lane = lane0 + f;
         ctx.of = of0 + f;
-        row.acc[f * row.accStep] += hook.onMac(ctx, v, row.k[f * row.kStep]);
+        acc[f] += hook.onMac(ctx, v, k[f]);
     }
 }
 
@@ -73,15 +73,17 @@ Architecture::RegisterBlock::load(const ConvSpec &spec,
 {
     const std::size_t step = RowOperands::sumStep(spec, out);
     float *entry = sums_.data();
-    for (int i = 0; i < ny_; ++i)
-        for (int j = 0; j < nx_; ++j, entry += ofCnt_) {
-            const float *p =
-                out.data() + RowOperands::sumOffset(spec, out, of0_, c,
-                                                    y0_ + i * step_,
-                                                    x0_ + j * step_);
-            for (int f = 0; f < ofCnt_; ++f)
-                entry[f] = p[std::size_t(f) * step];
-        }
+    for (int p = 0; p < planes_; ++p)
+        for (int i = 0; i < ny_; ++i)
+            for (int j = 0; j < nx_; ++j, entry += ofCnt_) {
+                const float *src =
+                    out.data() + RowOperands::sumOffset(spec, out, of0_,
+                                                        c + p,
+                                                        y0_ + i * step_,
+                                                        x0_ + j * step_);
+                for (int f = 0; f < ofCnt_; ++f)
+                    entry[f] = src[std::size_t(f) * step];
+            }
 }
 
 void
@@ -90,14 +92,17 @@ Architecture::RegisterBlock::store(const ConvSpec &spec,
 {
     const std::size_t step = RowOperands::sumStep(spec, out);
     const float *entry = sums_.data();
-    for (int i = 0; i < ny_; ++i)
-        for (int j = 0; j < nx_; ++j, entry += ofCnt_) {
-            float *p = out.data() + RowOperands::sumOffset(spec, out, of0_, c,
-                                                           y0_ + i * step_,
-                                                           x0_ + j * step_);
-            for (int f = 0; f < ofCnt_; ++f)
-                p[std::size_t(f) * step] = entry[f];
-        }
+    for (int p = 0; p < planes_; ++p)
+        for (int i = 0; i < ny_; ++i)
+            for (int j = 0; j < nx_; ++j, entry += ofCnt_) {
+                float *dst =
+                    out.data() + RowOperands::sumOffset(spec, out, of0_,
+                                                        c + p,
+                                                        y0_ + i * step_,
+                                                        x0_ + j * step_);
+                for (int f = 0; f < ofCnt_; ++f)
+                    dst[std::size_t(f) * step] = entry[f];
+            }
 }
 
 RunStats

@@ -144,8 +144,10 @@ class Architecture
      * What one cycle of a walk fixes, as five coefficients over a row
      * (c, oy, ox, ky, kx): key() is the same for every row the cycle
      * schedules, because the coordinates that vary within a cycle have
-     * coefficient zero. Two cycles may share a key; that costs time,
-     * never bits.
+     * coefficient zero. A projection may also leave out a coordinate
+     * that varies across a run of consecutive cycles (NLR's `c`), so
+     * the whole run shares one key. Two cycles or runs may share a key;
+     * that costs time, never bits.
      */
     struct CycleProjection
     {
@@ -163,7 +165,8 @@ class Architecture
     /**
      * The MAC path of one functional walk, built from faultHook() when
      * the walk starts: the hook, its row filter and visitIneffectual(),
-     * read once. The walk calls cycle() once per cycle. When the hook
+     * read once. The walk calls cycle() once per cycle, or once per run
+     * of consecutive cycles that share a key. When the hook
      * visits ineffectual slots and its filter lists its loud rows,
      * those rows are projected into a cycle bitmap here, so a cycle
      * holding none of them is settled without a per-row test. Quiet
@@ -183,12 +186,13 @@ class Architecture
         MacPath &operator=(const MacPath &) = delete;
 
         /**
-         * Open one cycle: `key` under the walk's projection and the
-         * cycle's `macs` scheduled MACs, effectual and ineffectual.
-         * True when the hook must see the cycle's rows, which then take
-         * the per-row test in macRow/blockMacRow. False without a hook,
-         * or for a settled cycle: its MACs are tallied as quiet and it
-         * runs exactly as the unhooked walk would.
+         * Open one cycle, or a run of consecutive cycles that share a
+         * key: `key` under the walk's projection and the `macs`
+         * scheduled MACs of the cycle or run, effectual and
+         * ineffectual. True when the hook must see its rows, which then
+         * take the per-row test in blockMacRow. False without a hook,
+         * or when it settles: its MACs are tallied as quiet and it runs
+         * exactly as the unhooked walk would.
          */
         bool
         cycle(std::uint64_t key, std::uint64_t macs)
@@ -202,8 +206,8 @@ class Architecture
             return presented_;
         }
 
-        /** True when a row with this effectuality must reach macRow
-         *  or blockMacRow in the open cycle. */
+        /** True when a row with this effectuality must reach
+         *  blockMacRow in the open cycle. */
         bool visits(bool useful) const
         {
             return useful || (presented_ && ineffectual_);
@@ -239,31 +243,10 @@ class Architecture
         std::uint64_t cycleBits_[(kCycleMask + 1) / 64] = {};
     };
 
-    /** One operand row's accumulators and kernel weights: strided runs
-     *  over `of`, starting at of0. */
+    /** Where a walk finds one operand row's `of` run, starting at of0,
+     *  in the output and kernel tensors. */
     struct RowOperands
     {
-        float *acc;
-        std::size_t accStep;
-        const float *k;
-        std::size_t kStep;
-
-        RowOperands(float *sums, std::size_t sum_step, const float *weights,
-                    std::size_t weight_step)
-            : acc(sums), accStep(sum_step), k(weights), kStep(weight_step)
-        {
-        }
-
-        RowOperands(const ConvSpec &spec, const tensor::Tensor &w,
-                    tensor::Tensor &out, int of0, int c, int oy, int ox,
-                    int ky, int kx)
-            : acc(out.data() + sumOffset(spec, out, of0, c, oy, ox)),
-              accStep(sumStep(spec, out)),
-              k(w.data() + weightOffset(spec, w, of0, c, ky, kx)),
-              kStep(weightStep(w))
-        {
-        }
-
         // Four-dimension jobs index the kernel by `of` alone and keep
         // one output plane per (of, c).
         static std::size_t
@@ -295,54 +278,31 @@ class Architecture
     };
 
     /**
-     * One scheduled operand row: streamed input `v` times the `of_cnt`
-     * kernel weights of output maps [of0, of0 + of_cnt) at (c, ky, kx),
-     * on physical lanes lane0 + f, read and accumulated in place in the
-     * strided tensors. `useful` means both operands are structurally
-     * non-zero (a walk may also clear it for a zero input value). Call
-     * only when path.visits(x) holds, where x may be a weaker test than
-     * `useful`: OST visits every tap whose input is non-zero,
-     * structural kernel zeros included, because its array streams
-     * them. A row the hook does not see — no hook, a settled cycle, or
-     * a row the filter marks quiet — is multiplied only when `useful`:
-     * an ineffectual one adds ±0 on finite operands, which never
-     * changes an accumulator that starts at +0. NLR uses this form:
-     * its weights are not reused within a cycle window, so staging
-     * them would not pay.
-     */
-    void
-    macRow(MacPath &path, const ConvSpec &spec, const tensor::Tensor &w,
-           tensor::Tensor &out, float v, bool useful, int lane0, int of0,
-           int of_cnt, int c, int oy, int ox, int ky, int kx) const
-    {
-        if (path.presents(c, oy, ox, ky, kx, of_cnt)) {
-            hookedRow(*path.hook_,
-                      RowOperands(spec, w, out, of0, c, oy, ox, ky, kx), v,
-                      MacContext{lane0, of0, c, oy, ox, ky, kx}, of_cnt);
-            return;
-        }
-        if (!useful)
-            return;
-        const RowOperands row(spec, w, out, of0, c, oy, ox, ky, kx);
-        for (int f = 0; f < of_cnt; ++f)
-            row.acc[f * row.accStep] += v * row.k[f * row.kStep];
-    }
-
-    /**
-     * macRow on a register block: `acc` is the row's block entry and
+     * One scheduled operand row on a register block: streamed input
+     * `v` times the `of_cnt` kernel weights of output maps
+     * [ctx.of, ctx.of + of_cnt) at (ctx.c, ctx.ky, ctx.kx), on
+     * physical lanes ctx.lane + f. `acc` is the row's block entry and
      * `k` its staged weights, both `of_cnt` contiguous floats. Each
      * entry is one accumulator that only its tile or plane touches, in
      * walk order, and the block is loaded before and stored after, so
-     * the bits are those of accumulating in place. The hook sees the
-     * same (ctx, a, b).
+     * the bits are those of accumulating in place. `useful` means both
+     * operands are structurally non-zero (a walk may also clear it for
+     * a zero input value). Call only when path.visits(x) holds, where
+     * x may be a weaker test than `useful`: OST visits every tap whose
+     * input is non-zero, structural kernel zeros included, because its
+     * array streams them. A row the hook does not see — no hook, a
+     * settled cycle, or a row the filter marks quiet — is multiplied
+     * only when `useful`: an ineffectual one adds ±0 on finite
+     * operands, which never changes an accumulator that starts at +0.
+     * A row the hook sees gets the same (ctx, a, b) per MAC as on any
+     * other path.
      */
     void
     blockMacRow(MacPath &path, float *acc, const float *k, float v,
                 bool useful, const MacContext &ctx, int of_cnt) const
     {
         if (path.presents(ctx.c, ctx.oy, ctx.ox, ctx.ky, ctx.kx, of_cnt)) {
-            hookedRow(*path.hook_, RowOperands(acc, 1, k, 1), v, ctx,
-                      of_cnt);
+            hookedRow(*path.hook_, acc, k, v, ctx, of_cnt);
             return;
         }
         if (useful)
@@ -371,17 +331,19 @@ class Architecture
     /**
      * A register block: the partial sums of output maps
      * [of0, of0 + of_cnt) at a grid of output positions
-     * (y0 + i * step, x0 + j * step), i < ny, j < nx, held
-     * [position][of]. load() copies them in from the output tensor
-     * before the block's first contribution and store() copies them
-     * back after its last, for input map c on 4-D outputs.
+     * (y0 + i * step, x0 + j * step), i < ny, j < nx, in `planes`
+     * planes, held [plane][position][of]. load() copies them in from
+     * the output tensor before the block's first contribution and
+     * store() copies them back after its last; plane p holds input map
+     * c + p on 4-D outputs, and a block of any other job has one plane.
      */
     class RegisterBlock
     {
       public:
         /** Place the block on a grid; keeps the buffer's capacity. */
         void
-        place(int of0, int of_cnt, int y0, int x0, int step, int ny, int nx)
+        place(int of0, int of_cnt, int y0, int x0, int step, int ny, int nx,
+              int planes = 1)
         {
             of0_ = of0;
             ofCnt_ = of_cnt;
@@ -390,16 +352,20 @@ class Architecture
             step_ = step;
             ny_ = ny;
             nx_ = nx;
-            sums_.resize(std::size_t(ny) * std::size_t(nx) *
-                         std::size_t(of_cnt));
+            planes_ = planes;
+            sums_.resize(std::size_t(planes) * std::size_t(ny) *
+                         std::size_t(nx) * std::size_t(of_cnt));
         }
 
-        /** The entry of grid position (i, j): of_cnt contiguous sums. */
+        /** The entry of grid position (i, j) in plane p: of_cnt
+         *  contiguous sums. */
         float *
-        at(int i, int j)
+        at(int i, int j, int p = 0)
         {
             return sums_.data() +
-                   (std::size_t(i) * std::size_t(nx_) + std::size_t(j)) *
+                   ((std::size_t(p) * std::size_t(ny_) + std::size_t(i)) *
+                        std::size_t(nx_) +
+                    std::size_t(j)) *
                        std::size_t(ofCnt_);
         }
 
@@ -408,7 +374,7 @@ class Architecture
 
       private:
         int of0_ = 0, ofCnt_ = 0, y0_ = 0, x0_ = 0, step_ = 1, ny_ = 0,
-            nx_ = 0;
+            nx_ = 0, planes_ = 1;
         std::vector<float> sums_;
     };
 
@@ -427,7 +393,7 @@ class Architecture
 
     /** The hooked path of a row: every MAC of the row through onMac;
      *  `ctx` holds the row's first lane and output map. */
-    static void hookedRow(MacFaultHook &hook, const RowOperands &row,
+    static void hookedRow(MacFaultHook &hook, float *acc, const float *k,
                           float v, MacContext ctx, int of_cnt);
 
     virtual RunStats doRun(const ConvSpec &spec, const tensor::Tensor *in,

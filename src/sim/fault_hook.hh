@@ -3,8 +3,8 @@
  * The MAC-path fault-injection hook.
  *
  * Every dataflow's functional inner loop produces its products through
- * Architecture::macRow() or blockMacRow() (one operand row at a time)
- * or, in CNV and RST, Architecture::macProduct(); all forward to an
+ * Architecture::blockMacRow() (one operand row at a time) or, in CNV
+ * and RST, Architecture::macProduct(); both forward to an
  * installed MacFaultHook (src/fault implements one). The hook sees the
  * full logical coordinate of each *physically scheduled* multiply — the
  * lattice point (of, c, oy, ox, ky, kx) plus the physical PE lane the

@@ -74,6 +74,23 @@ stuffedSpec()
     return s;
 }
 
+/** The stuffed job with 11 output maps, and the NLR unrolling that
+ *  runs it: the fuzz corpus draws at most 4 maps, so only this job lets
+ *  a wide P_of reach the block rows' 8-wide chunk. */
+struct WideJob
+{
+    ConvSpec spec;
+    Unroll nlr;
+};
+
+WideJob
+wideJob()
+{
+    ConvSpec s = stuffedSpec();
+    s.nof = 11;
+    return {s, Unroll{.pIf = 2, .pOf = 11}};
+}
+
 /** Same tiny GAN the determinism tests train (milliseconds/run). */
 gan::GanModel
 tinyModel()
@@ -524,15 +541,24 @@ hookedRun(sim::Architecture &arch, sim::MacFaultHook &hook,
     return out;
 }
 
-/** The campaign's six columns at random small unrollings. */
+/** The two NLR columns, zeros executed and skipped, at `u`. */
+std::vector<std::unique_ptr<sim::Architecture>>
+nlrColumns(const Unroll &u)
+{
+    std::vector<std::unique_ptr<sim::Architecture>> v;
+    v.push_back(std::make_unique<Nlr>(u, Nlr::ZeroPolicy::Execute));
+    v.push_back(std::make_unique<Nlr>(u, Nlr::ZeroPolicy::Skip));
+    return v;
+}
+
+/** The campaign's six columns at random small unrollings; NLR's P_of
+ *  may pass the block rows' 8-wide chunk. */
 std::vector<std::unique_ptr<sim::Architecture>>
 campaignColumns(Rng &rng)
 {
-    std::vector<std::unique_ptr<sim::Architecture>> v;
-    const Unroll nlr{.pIf = rng.uniformInt(1, 3),
-                     .pOf = rng.uniformInt(1, 4)};
-    v.push_back(std::make_unique<Nlr>(nlr, Nlr::ZeroPolicy::Execute));
-    v.push_back(std::make_unique<Nlr>(nlr, Nlr::ZeroPolicy::Skip));
+    std::vector<std::unique_ptr<sim::Architecture>> v =
+        nlrColumns(Unroll{.pIf = rng.uniformInt(1, 5),
+                          .pOf = rng.uniformInt(1, 20)});
     v.push_back(std::make_unique<Wst>(Unroll{
         .pOf = rng.uniformInt(1, 3), .pKx = rng.uniformInt(2, 4),
         .pKy = rng.uniformInt(2, 4)}));
@@ -571,7 +597,8 @@ TEST(FaultInjector, RowFilterMatchesPerMacPath)
     const fault::FaultPlan *const plans[] = {&transient, &stuck, &memory};
 
     // The fuzz corpus, plus one job with more than 2^18 rows so the
-    // walks also read a bucketed filter.
+    // walks also read a bucketed filter, plus the wide job in its NLR
+    // columns.
     Rng rng(0xF117E2ULL);
     std::vector<ConvSpec> corpus;
     for (int i = 0; i < 60; ++i)
@@ -583,13 +610,17 @@ TEST(FaultInjector, RowFilterMatchesPerMacPath)
     big.kh = big.kw = 5;
     big.pad = 2;
     corpus.push_back(big);
+    const WideJob wide = wideJob();
+    corpus.push_back(wide.spec);
 
     std::uint64_t fired = 0, peHits = 0;
     for (std::size_t j = 0; j < corpus.size(); ++j) {
         const ConvSpec &s = corpus[j];
         const Tensor in = sim::makeStreamedInput(s, rng);
         const Tensor w = sim::makeStreamedKernel(s, rng);
-        for (const auto &arch : campaignColumns(rng)) {
+        const bool is_wide = j + 1 == corpus.size();
+        for (const auto &arch :
+             is_wide ? nlrColumns(wide.nlr) : campaignColumns(rng)) {
             for (const fault::FaultPlan *plan : plans) {
                 fault::FaultInjector filtered(*plan), rowless(*plan),
                     per_mac(*plan);
@@ -730,7 +761,8 @@ class FullScheduleHook final : public sim::MacFaultHook
  *  structural-zero and padding slot; the full schedule multiplies all
  *  of them. On finite operands that honour the zero structure the two
  *  must agree bit for bit, in every column, on the fuzz corpus and on
- *  the campaign's own jobs at the paper unrolls. */
+ *  the campaign's own jobs at the paper unrolls, and in the NLR
+ *  columns on the wide job. */
 TEST(FaultInjector, PlainPathMatchesFullSchedule)
 {
     const auto expectSame = [](sim::Architecture &arch, const ConvSpec &s,
@@ -767,6 +799,11 @@ TEST(FaultInjector, PlainPathMatchesFullSchedule)
                 expectSame(*arch, s, in, w);
         }
     }
+    const WideJob wide = wideJob();
+    const Tensor wide_in = sim::makeStreamedInput(wide.spec, rng);
+    const Tensor wide_w = sim::makeStreamedKernel(wide.spec, rng);
+    for (const auto &arch : nlrColumns(wide.nlr))
+        expectSame(*arch, wide.spec, wide_in, wide_w);
 }
 
 // ---------------------------------------------------------------------
