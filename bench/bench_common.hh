@@ -43,10 +43,10 @@ banner(const std::string &experiment, const std::string &paper_claim)
  * is visibly a stream of disk hits).
  *
  * Also the telemetry arming point for benches: --trace / GANACC_TRACE
- * / GANACC_EVENTS / GANACC_METRICS turn the process-wide sinks on for
- * the scope's lifetime. All telemetry status goes through
- * util::inform (stderr), so the figure text on stdout stays
- * byte-identical whether or not tracing is enabled.
+ * / GANACC_METRICS turn the process-wide sinks on for the scope's
+ * lifetime. All telemetry status goes through util::inform (stderr),
+ * so the figure text on stdout stays byte-identical whether or not
+ * tracing is enabled.
  */
 class CacheScope
 {

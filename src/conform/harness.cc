@@ -29,9 +29,9 @@
 #include "serve/client.hh"
 #include "serve/daemon.hh"
 #include "serve/engine.hh"
+#include "serve/protocol.hh"
 #include "sim/json.hh"
 #include "sim/stats_diff.hh"
-#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace fs = std::filesystem;
@@ -967,18 +967,14 @@ checkCounters(std::size_t opIndex, const std::string &telemetry,
               const std::map<std::string, std::uint64_t> &baseline,
               std::vector<Divergence> &out)
 {
-    const util::json::Value doc = util::json::parse(telemetry);
-    const util::json::Object &root = doc.asObject();
-    const util::json::Object &counters =
-        root.at("counters").asObject();
-    const util::json::Object &gauges = root.at("gauges").asObject();
+    const obs::Snapshot snap = serve::decodeTelemetry(telemetry);
     auto cval = [&](const char *name) -> std::uint64_t {
-        const util::json::Value *v = counters.find(name);
-        return v ? v->asUint64() : 0;
+        auto it = snap.counters().find(name);
+        return it == snap.counters().end() ? 0 : it->second;
     };
     auto gval = [&](const char *name) -> std::uint64_t {
-        const util::json::Value *v = gauges.find(name);
-        return v ? v->asUint64() : 0;
+        auto it = snap.gauges().find(name);
+        return it == snap.gauges().end() ? 0 : std::uint64_t(it->second);
     };
     auto base = [&](const char *name) -> std::uint64_t {
         auto it = baseline.find(name);

@@ -9,7 +9,6 @@
 
 #include "core/unrolling.hh"
 #include "obs/metrics.hh"
-#include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -65,13 +64,6 @@ observePoint(const DsePoint &p)
         reg.counter("ganacc_dse_feasible_total",
                     "points inside every resource/bandwidth budget")
             .add(1);
-    if (obs::EventLog::instance().enabled())
-        obs::EventLog::instance().log(
-            "dse.point",
-            "\"wPof\":" + std::to_string(p.wPof) + ",\"stPof\":" +
-                std::to_string(p.stPof) + ",\"rejected\":" +
-                (p.verifierRejected ? "true" : "false") +
-                ",\"feasible\":" + (p.feasible() ? "true" : "false"));
 }
 
 /** Pre-filter one point; true when it must be skipped. The schedule

@@ -463,90 +463,52 @@ Router::call(const serve::Request &req)
 }
 
 std::vector<std::pair<std::string, std::string>>
-Router::statsAll()
+Router::probeAll(bool serve::Request::*flag,
+                 std::string serve::Response::*payload)
 {
     std::vector<std::pair<std::string, std::string>> out;
     const int n = int(opt_.topology.shards.size());
     for (int s = 0; s < n; ++s) {
-        const std::string &addr =
-            opt_.topology.shards[std::size_t(s)];
-        std::string telemetry;
-        if (ensureConnected(s, &counters_.reconnects)) {
-            try {
-                serve::Request probe;
-                probe.id = std::uint64_t(s) + 1;
-                probe.statsProbe = true;
-                ++counters_.sentPerShard[std::size_t(s)];
-                const serve::Response rsp =
-                    clients_[std::size_t(s)]->roundTrip(probe);
-                if (rsp.ok)
-                    telemetry = rsp.telemetry;
-            } catch (const util::FatalError &) {
-                clients_[std::size_t(s)]->close();
-                connected_[std::size_t(s)] = false;
-            }
-        }
-        out.emplace_back(addr, telemetry);
-    }
-    return out;
-}
-
-std::vector<std::pair<std::string, std::string>>
-Router::scrapeAll()
-{
-    std::vector<std::pair<std::string, std::string>> out;
-    const int n = int(opt_.topology.shards.size());
-    for (int s = 0; s < n; ++s) {
-        const std::string &addr =
-            opt_.topology.shards[std::size_t(s)];
         std::string text;
         if (ensureConnected(s, &counters_.reconnects)) {
             try {
                 serve::Request probe;
                 probe.id = std::uint64_t(s) + 1;
-                probe.metricsProbe = true;
+                probe.*flag = true;
                 ++counters_.sentPerShard[std::size_t(s)];
                 const serve::Response rsp =
                     clients_[std::size_t(s)]->roundTrip(probe);
                 if (rsp.ok)
-                    text = rsp.metricsText;
+                    text = rsp.*payload;
             } catch (const util::FatalError &) {
                 clients_[std::size_t(s)]->close();
                 connected_[std::size_t(s)] = false;
             }
         }
-        out.emplace_back(addr, text);
+        out.emplace_back(opt_.topology.shards[std::size_t(s)], text);
     }
     return out;
 }
 
 std::vector<std::pair<std::string, std::string>>
+Router::statsAll()
+{
+    return probeAll(&serve::Request::statsProbe,
+                    &serve::Response::telemetry);
+}
+
+std::vector<std::pair<std::string, std::string>>
+Router::scrapeAll()
+{
+    return probeAll(&serve::Request::metricsProbe,
+                    &serve::Response::metricsText);
+}
+
+std::vector<std::pair<std::string, std::string>>
 Router::drainTracesAll()
 {
-    std::vector<std::pair<std::string, std::string>> out;
-    const int n = int(opt_.topology.shards.size());
-    for (int s = 0; s < n; ++s) {
-        const std::string &addr =
-            opt_.topology.shards[std::size_t(s)];
-        std::string spans;
-        if (ensureConnected(s, &counters_.reconnects)) {
-            try {
-                serve::Request probe;
-                probe.id = std::uint64_t(s) + 1;
-                probe.traceDrainProbe = true;
-                ++counters_.sentPerShard[std::size_t(s)];
-                const serve::Response rsp =
-                    clients_[std::size_t(s)]->roundTrip(probe);
-                if (rsp.ok)
-                    spans = rsp.spans;
-            } catch (const util::FatalError &) {
-                clients_[std::size_t(s)]->close();
-                connected_[std::size_t(s)] = false;
-            }
-        }
-        out.emplace_back(addr, spans);
-    }
-    return out;
+    return probeAll(&serve::Request::traceDrainProbe,
+                    &serve::Response::spans);
 }
 
 } // namespace fleet

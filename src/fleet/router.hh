@@ -104,9 +104,9 @@ class Router
     serve::Response call(const serve::Request &req);
 
     /**
-     * One telemetry probe per shard; returns (address, telemetry
-     * JSON) pairs for every shard that answered, in shard order.
-     * Unreachable shards are skipped (their address maps to "").
+     * One telemetry probe per shard: (address, telemetry JSON) pairs
+     * in shard order, "" for unreachable shards — the input of
+     * fleet::fleetStatsReport.
      */
     std::vector<std::pair<std::string, std::string>> statsAll();
 
@@ -144,6 +144,11 @@ class Router
     struct Pending;
 
     bool ensureConnected(int shard, std::uint64_t *reconnects);
+    /** One `flag` probe per shard: (address, the answer's `payload`)
+     *  in shard order, "" where the shard is unreachable or refused. */
+    std::vector<std::pair<std::string, std::string>>
+    probeAll(bool serve::Request::*flag,
+             std::string serve::Response::*payload);
     void runRound(std::vector<Pending *> &batch,
                   std::vector<std::string> &responses);
     void replicateFresh(const std::vector<Pending> &lines,

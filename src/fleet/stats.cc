@@ -6,10 +6,9 @@
 #include "fleet/stats.hh"
 
 #include <cstdint>
-#include <map>
-#include <vector>
 
 #include "obs/metrics.hh"
+#include "serve/protocol.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -17,42 +16,6 @@ namespace ganacc {
 namespace fleet {
 
 namespace {
-
-/** Insertion-ordered accumulator: fleet totals should list metrics
- *  in the order the first shard reported them, not alphabetically —
- *  that keeps the aggregate visually diffable against one shard. */
-template <typename V> class OrderedSums
-{
-  public:
-    V &
-    slot(const std::string &name)
-    {
-        auto it = index_.find(name);
-        if (it == index_.end()) {
-            index_.emplace(name, entries_.size());
-            entries_.emplace_back(name, V{});
-            return entries_.back().second;
-        }
-        return entries_[it->second].second;
-    }
-
-    const std::vector<std::pair<std::string, V>> &
-    entries() const
-    {
-        return entries_;
-    }
-
-  private:
-    std::map<std::string, std::size_t> index_;
-    std::vector<std::pair<std::string, V>> entries_;
-};
-
-struct HistSum
-{
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    std::vector<std::uint64_t> buckets;
-};
 
 /**
  * The smallest bucket upper bound covering `pct` percent of the
@@ -62,16 +25,15 @@ struct HistSum
  * power-of-two layout — the same one every shard records under.
  */
 std::string
-quantileLe(const std::vector<std::uint64_t> &buckets,
-           std::uint64_t count, std::uint64_t pct)
+quantileLe(const obs::HistogramSnapshot &h, std::uint64_t pct)
 {
-    if (count == 0)
+    if (h.count == 0)
         return "0";
     std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-        cum += buckets[i];
-        if (cum * 100 >= pct * count) {
-            if (i + 1 == buckets.size())
+    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
+        cum += h.buckets[i];
+        if (cum * 100 >= pct * h.count) {
+            if (i + 1 == h.buckets.size())
                 return "+Inf";
             return std::to_string(
                 obs::Histogram::bucketBound(int(i)));
@@ -80,70 +42,42 @@ quantileLe(const std::vector<std::uint64_t> &buckets,
     return "+Inf";
 }
 
+/** Decode every reachable shard's payload once and sum them by name. */
+obs::Snapshot
+mergeSnapshots(const std::vector<std::string> &snapshots)
+{
+    obs::Snapshot total;
+    for (const std::string &text : snapshots) {
+        if (text.empty())
+            continue; // unreachable shard: contributes nothing
+        const obs::Snapshot shard = serve::decodeTelemetry(text);
+        for (const auto &[name, v] : shard.counters())
+            total.counter(name, v);
+        for (const auto &[name, v] : shard.gauges())
+            total.gauge(name, v);
+        for (const auto &[name, h] : shard.histograms()) {
+            // Peer input, so a layout mismatch is a FatalError here,
+            // before HistogramSnapshot::merge would assert on it.
+            const auto it = total.histograms().find(name);
+            if (it != total.histograms().end() &&
+                !it->second.buckets.empty() &&
+                it->second.buckets.size() != h.buckets.size())
+                util::fatal("fleet stats: histogram \"", name,
+                            "\" bucket layouts differ across shards (",
+                            it->second.buckets.size(), " vs ",
+                            h.buckets.size(), ")");
+            total.histogram(name, h);
+        }
+    }
+    return total;
+}
+
 } // namespace
 
 std::string
 mergeTelemetry(const std::vector<std::string> &snapshots)
 {
-    OrderedSums<std::uint64_t> counters;
-    OrderedSums<std::int64_t> gauges;
-    OrderedSums<HistSum> histograms;
-
-    for (const std::string &text : snapshots) {
-        if (text.empty())
-            continue; // unreachable shard: contributes nothing
-        const util::json::Value doc = util::json::parse(text);
-        const util::json::Object &o = doc.asObject();
-        for (const auto &[name, v] :
-             o.at("counters").asObject().entries())
-            counters.slot(name) += v.asUint64();
-        for (const auto &[name, v] :
-             o.at("gauges").asObject().entries())
-            gauges.slot(name) += std::int64_t(v.asUint64());
-        for (const auto &[name, v] :
-             o.at("histograms").asObject().entries()) {
-            const util::json::Object &h = v.asObject();
-            HistSum &acc = histograms.slot(name);
-            acc.count += h.at("count").asUint64();
-            acc.sum += h.at("sum").asUint64();
-            const util::json::Array &buckets =
-                h.at("buckets").asArray();
-            if (acc.buckets.empty())
-                acc.buckets.assign(buckets.size(), 0);
-            if (acc.buckets.size() != buckets.size())
-                util::fatal("fleet stats: histogram \"", name,
-                            "\" bucket layouts differ across shards (",
-                            acc.buckets.size(), " vs ",
-                            buckets.size(), ")");
-            for (std::size_t i = 0; i < buckets.size(); ++i)
-                acc.buckets[i] += buckets[i].asUint64();
-        }
-    }
-
-    util::json::Object countersOut;
-    for (const auto &[name, v] : counters.entries())
-        countersOut.set(name, util::json::Value(v));
-    util::json::Object gaugesOut;
-    for (const auto &[name, v] : gauges.entries())
-        gaugesOut.set(name, util::json::Value(std::uint64_t(
-                                v < 0 ? 0 : v)));
-    util::json::Object histogramsOut;
-    for (const auto &[name, h] : histograms.entries()) {
-        util::json::Object hist;
-        hist.set("count", util::json::Value(h.count));
-        hist.set("sum", util::json::Value(h.sum));
-        util::json::Array buckets;
-        for (std::uint64_t b : h.buckets)
-            buckets.push_back(util::json::Value(b));
-        hist.set("buckets", util::json::Value(std::move(buckets)));
-        histogramsOut.set(name, util::json::Value(std::move(hist)));
-    }
-    util::json::Object root;
-    root.set("counters", util::json::Value(std::move(countersOut)));
-    root.set("gauges", util::json::Value(std::move(gaugesOut)));
-    root.set("histograms",
-             util::json::Value(std::move(histogramsOut)));
-    return util::json::Value(std::move(root)).dump();
+    return serve::encodeTelemetry(mergeSnapshots(snapshots));
 }
 
 std::string
@@ -158,7 +92,7 @@ fleetStatsReport(
         if (!telemetry.empty())
             ++reachable;
     }
-    const std::string aggregate = mergeTelemetry(snapshots);
+    const obs::Snapshot aggregate = mergeSnapshots(snapshots);
 
     util::json::Object fleet;
     fleet.set("shards",
@@ -183,35 +117,22 @@ fleetStatsReport(
     // values are strings so "+Inf" needs no special case; all
     // arithmetic is exact integers, which is what lets a ctest pin
     // this report byte-for-byte.
+    const auto it = aggregate.histograms().find("ganacc_serve_latency_us");
+    const obs::HistogramSnapshot latencyUs =
+        it == aggregate.histograms().end() ? obs::HistogramSnapshot{}
+                                           : it->second;
     util::json::Object latency;
-    {
-        std::uint64_t count = 0, sumUs = 0;
-        std::vector<std::uint64_t> buckets;
-        const util::json::Value aggDoc = util::json::parse(aggregate);
-        const util::json::Object &hists =
-            aggDoc.asObject().at("histograms").asObject();
-        if (hists.contains("ganacc_serve_latency_us")) {
-            const util::json::Object &h =
-                hists.at("ganacc_serve_latency_us").asObject();
-            count = h.at("count").asUint64();
-            sumUs = h.at("sum").asUint64();
-            for (const util::json::Value &b :
-                 h.at("buckets").asArray())
-                buckets.push_back(b.asUint64());
-        }
-        latency.set("count", util::json::Value(count));
-        latency.set("sumUs", util::json::Value(sumUs));
-        latency.set("p50Le",
-                    util::json::Value(quantileLe(buckets, count, 50)));
-        latency.set("p99Le",
-                    util::json::Value(quantileLe(buckets, count, 99)));
-    }
+    latency.set("count", util::json::Value(latencyUs.count));
+    latency.set("sumUs", util::json::Value(latencyUs.sum));
+    latency.set("p50Le", util::json::Value(quantileLe(latencyUs, 50)));
+    latency.set("p99Le", util::json::Value(quantileLe(latencyUs, 99)));
 
     util::json::Object root;
     root.set("fleet", util::json::Value(std::move(fleet)));
     root.set("latency", util::json::Value(std::move(latency)));
     root.set("perShard", util::json::Value(std::move(rows)));
-    root.set("aggregate", util::json::parse(aggregate));
+    root.set("aggregate",
+             util::json::parse(serve::encodeTelemetry(aggregate)));
     return util::json::Value(std::move(root)).dump();
 }
 

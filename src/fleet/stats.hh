@@ -3,10 +3,11 @@
  * Fleet-level telemetry aggregation.
  *
  * Every shard answers a stats probe with its own registry snapshot
- * (serve::Engine::telemetryJson(): counters, gauges, histograms).
- * This module merges N such snapshots into one fleet view: counters
- * and gauges sum, histograms merge element-wise (same power-of-2
- * bucket layout on every shard, so bucket i + bucket i is exact).
+ * (serve::encodeTelemetry(): counters, gauges, histograms). This
+ * module decodes N such payloads into obs::Snapshot structs and sums
+ * them into one fleet view: counters and gauges add, histograms merge
+ * element-wise (same power-of-2 bucket layout on every shard, so
+ * bucket i + bucket i is exact).
  * The merge is pure integer arithmetic — no averaging, no doubles —
  * which is what lets a ctest pin it.
  */
@@ -23,8 +24,9 @@ namespace fleet {
 /**
  * Merge per-shard telemetry snapshots (canonical JSON object text as
  * produced by the stats probe) into one aggregate snapshot of the
- * same shape. Metric names are the union across shards; a name
- * missing on some shard contributes zero. Snapshots that are empty
+ * same shape, names sorted as in any one shard's payload. Metric
+ * names are the union across shards; a name missing on some shard
+ * contributes zero. Snapshots that are empty
  * strings (unreachable shards) are skipped. Throws util::FatalError
  * on malformed input or mismatched histogram bucket layouts.
  */

@@ -6,8 +6,9 @@
  * The registry is the one place every subsystem reports load and
  * progress to — the thread pool, the cycle cache, the result store,
  * the serving engine and the DSE sweeps all publish here, and the
- * Prometheus text dump, the daemon's `stats` protocol request and the
- * SIGUSR1 dump-to-file all read from here. Two publication styles:
+ * Prometheus text (shutdown dump and `metrics` probe) and the
+ * daemon's `stats` probe (serve::encodeTelemetry) read from here. Two
+ * publication styles:
  *
  *  - *Owned metrics*: counter()/gauge()/histogram() return a stable
  *    reference the caller keeps and bumps with relaxed atomics — the

@@ -5,11 +5,9 @@
 
 #include "obs/telemetry.hh"
 
-#include <atomic>
-#include <chrono>
-#include <csignal>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <mutex>
 
@@ -29,16 +27,12 @@ struct TelemetryState
     bool enabled = false;
     TelemetryConfig cfg;
     MetricsProbe probe;
-
-    std::mutex log_m;
-    std::ofstream log;
-    std::chrono::steady_clock::time_point logT0{};
 };
 
 TelemetryState &
 state()
 {
-    // Leaked: the event log may be written from worker threads that
+    // Leaked: the probe may be reached from worker threads that
     // unwind during static destruction.
     static TelemetryState *s = new TelemetryState;
     return *s;
@@ -51,6 +45,35 @@ envOr(const char *name)
     return v ? v : "";
 }
 
+/** `text` as a finite number in [0, 1]; false if any of it is not. */
+bool
+parseRate(const std::string &text, double &out)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !std::isfinite(v) || v < 0.0 ||
+        v > 1.0)
+        return false;
+    out = v;
+    return true;
+}
+
+/** `text` as a non-negative decimal integer; false if any of it is
+ *  not (strtoull alone would take "-5" and " 5" and "5x"). */
+bool
+parseCount(const std::string &text, std::uint64_t &out)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        return false;
+    errno = 0;
+    const std::uint64_t v = std::strtoull(text.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+        return false;
+    out = v;
+    return true;
+}
+
 } // namespace
 
 TelemetryConfig
@@ -58,24 +81,15 @@ configFromEnv()
 {
     TelemetryConfig cfg;
     cfg.tracePath = envOr("GANACC_TRACE");
-    cfg.eventsPath = envOr("GANACC_EVENTS");
     cfg.metricsPath = envOr("GANACC_METRICS");
     const std::string rate = envOr("GANACC_TRACE_SAMPLE");
-    if (!rate.empty()) {
-        try {
-            cfg.traceSampleRate = std::stod(rate);
-        } catch (...) {
-            util::warn("GANACC_TRACE_SAMPLE is not a number: ", rate);
-        }
-    }
+    if (!rate.empty() && !parseRate(rate, cfg.traceSampleRate))
+        util::warn("GANACC_TRACE_SAMPLE must be a rate in [0, 1], got '",
+                   rate, "'; keeping ", cfg.traceSampleRate);
     const std::string tail = envOr("GANACC_TRACE_TAIL_US");
-    if (!tail.empty()) {
-        try {
-            cfg.traceTailUs = std::stoull(tail);
-        } catch (...) {
-            util::warn("GANACC_TRACE_TAIL_US is not a number: ", tail);
-        }
-    }
+    if (!tail.empty() && !parseCount(tail, cfg.traceTailUs))
+        util::warn("GANACC_TRACE_TAIL_US must be a non-negative integer, "
+                   "got '", tail, "'; keeping ", cfg.traceTailUs);
     return cfg;
 }
 
@@ -94,11 +108,9 @@ enableTelemetry(const TelemetryConfig &cfg)
         return;
     TelemetryState &s = state();
     std::lock_guard<std::mutex> lk(s.m);
-    if (s.enabled) {
-        // Re-arming drops the previous (unflushed) streams.
+    if (s.enabled)
+        // Re-arming drops the previous (unflushed) trace.
         TraceSink::instance().disable();
-        EventLog::instance().close();
-    }
     s.cfg = cfg;
     s.enabled = true;
     TraceSink::instance().setSampling(cfg.traceSampleRate,
@@ -107,8 +119,6 @@ enableTelemetry(const TelemetryConfig &cfg)
         // An empty path is the sink's live mode: spans buffer for
         // trace-drain probes and nothing touches the filesystem.
         TraceSink::instance().enable(cfg.tracePath);
-    if (!cfg.eventsPath.empty())
-        EventLog::instance().open(cfg.eventsPath);
     setRunProbe(&s.probe);
 }
 
@@ -125,7 +135,6 @@ shutdownTelemetry()
         util::inform("trace written to ", s.cfg.tracePath);
     else if (s.cfg.traceLive)
         TraceSink::instance().disable(); // live mode: nothing to write
-    EventLog::instance().close();
     if (!s.cfg.metricsPath.empty()) {
         std::ofstream os(s.cfg.metricsPath, std::ios::trunc);
         if (os) {
@@ -135,105 +144,6 @@ shutdownTelemetry()
             util::warn("cannot write metrics to ", s.cfg.metricsPath);
         }
     }
-}
-
-EventLog &
-EventLog::instance()
-{
-    static EventLog *log = new EventLog;
-    return *log;
-}
-
-bool
-EventLog::enabled() const
-{
-    TelemetryState &s = state();
-    std::lock_guard<std::mutex> lk(s.log_m);
-    return s.log.is_open();
-}
-
-void
-EventLog::open(const std::string &path)
-{
-    TelemetryState &s = state();
-    std::lock_guard<std::mutex> lk(s.log_m);
-    s.log.open(path, std::ios::trunc);
-    if (!s.log)
-        util::warn("cannot open event log ", path);
-    s.logT0 = std::chrono::steady_clock::now();
-}
-
-void
-EventLog::close()
-{
-    TelemetryState &s = state();
-    std::lock_guard<std::mutex> lk(s.log_m);
-    if (s.log.is_open())
-        s.log.close();
-}
-
-void
-EventLog::log(const std::string &type, const std::string &fields)
-{
-    TelemetryState &s = state();
-    std::lock_guard<std::mutex> lk(s.log_m);
-    if (!s.log.is_open())
-        return;
-    const auto us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - s.logT0)
-            .count();
-    s.log << "{\"ev\":\"" << type << "\",\"ts\":" << us;
-    if (!fields.empty())
-        s.log << ',' << fields;
-    s.log << "}\n";
-    s.log.flush();
-}
-
-namespace {
-
-std::atomic<bool> g_dump_requested{false};
-std::string *g_dump_path = nullptr;
-
-void
-onDumpSignal(int)
-{
-    // Async-signal-safe: just raise the flag; the file is written by
-    // serviceMetricsDump() on a normal thread.
-    g_dump_requested.store(true);
-}
-
-} // namespace
-
-void
-installMetricsDumpSignal(const std::string &path)
-{
-    GANACC_ASSERT(!path.empty(), "metrics dump needs a path");
-    if (!g_dump_path)
-        g_dump_path = new std::string;
-    *g_dump_path = path;
-    struct sigaction sa;
-    std::memset(&sa, 0, sizeof sa);
-    sa.sa_handler = onDumpSignal;
-    sa.sa_flags = SA_RESTART;
-    ::sigaction(SIGUSR1, &sa, nullptr);
-}
-
-bool
-serviceMetricsDump()
-{
-    if (!g_dump_requested.exchange(false))
-        return false;
-    if (!g_dump_path || g_dump_path->empty())
-        return false;
-    std::ofstream os(*g_dump_path, std::ios::trunc);
-    if (!os) {
-        util::warn("cannot write metrics dump to ", *g_dump_path);
-        return false;
-    }
-    os << renderPrometheus(Registry::instance().snapshot());
-    util::inform("metrics dumped to ", *g_dump_path);
-    return true;
 }
 
 } // namespace obs

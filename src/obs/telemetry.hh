@@ -1,13 +1,14 @@
 /**
  * @file
  * Telemetry lifecycle: one switch that arms the trace sink, the
- * structured event log, the cycle-walk probe and the metrics dump.
+ * cycle-walk probe and the metrics dump.
  *
  * Configuration comes from the environment (GANACC_TRACE,
- * GANACC_EVENTS, GANACC_METRICS) or the --trace flag (see
- * util::ArgParser::getTracePath); with none of them set every hook in
- * the codebase is a no-op and all outputs are bit-identical to a
- * build without telemetry (asserted by tests/test_obs.cc).
+ * GANACC_METRICS, GANACC_TRACE_SAMPLE, GANACC_TRACE_TAIL_US) or the
+ * --trace flag (see util::ArgParser::getTracePath); with none of them
+ * set every hook in the codebase is a no-op and all outputs are
+ * bit-identical to a build without telemetry (asserted by
+ * tests/test_obs.cc).
  *
  * Shutdown is explicit (shutdownTelemetry(), called by the bench
  * CacheScope and the daemon) so files land deterministically before
@@ -28,7 +29,6 @@ namespace obs {
 struct TelemetryConfig
 {
     std::string tracePath;   ///< Chrome trace of spans (GANACC_TRACE)
-    std::string eventsPath;  ///< JSONL event log (GANACC_EVENTS)
     std::string metricsPath; ///< Prometheus dump at shutdown
                              ///  (GANACC_METRICS)
 
@@ -49,68 +49,37 @@ struct TelemetryConfig
     bool
     any() const
     {
-        return !tracePath.empty() || !eventsPath.empty() ||
-               !metricsPath.empty() || traceLive;
+        return !tracePath.empty() || !metricsPath.empty() || traceLive;
     }
 };
 
-/** The three environment knobs, unset ones left empty. */
+/**
+ * The environment knobs, unset ones left at their defaults. A
+ * sampling knob is taken only when the whole string parses and is in
+ * range — GANACC_TRACE_SAMPLE a finite rate in [0, 1],
+ * GANACC_TRACE_TAIL_US a non-negative integer — otherwise it warns
+ * and keeps the default, as the matching ganacc-served flags refuse
+ * such values.
+ */
 TelemetryConfig configFromEnv();
 
 /** True between enableTelemetry() and shutdownTelemetry(). */
 bool telemetryEnabled();
 
 /**
- * Arm every telemetry stream named in `cfg`: the span trace sink,
- * the JSONL event log, the registry-filling cycle-walk probe (any
- * stream arms it — the counters feed both the metrics dump and the
- * daemon's stats probe). No-op when cfg.any() is false.
+ * Arm every telemetry stream named in `cfg`: the span trace sink and
+ * the registry-filling cycle-walk probe (any stream arms it — the
+ * counters feed both the metrics dump and the daemon's stats probe).
+ * No-op when cfg.any() is false.
  */
 void enableTelemetry(const TelemetryConfig &cfg);
 
 /**
  * Flush and disarm: write the Chrome trace, dump the registry to the
- * metrics path, close the event log, uninstall the probe.
+ * metrics path, uninstall the probe.
  * Idempotent; a no-op when telemetry was never enabled.
  */
 void shutdownTelemetry();
-
-/** The JSONL structured event log (leaked singleton). */
-class EventLog
-{
-  public:
-    static EventLog &instance();
-
-    bool enabled() const;
-
-    /**
-     * Append one event line: {"ev":"<type>","ts":<us>,<fields>}.
-     * `fields` is raw JSON object *content* (canonical encodings from
-     * sim/json are pasted verbatim), e.g. "\"arch\":\"ZFOST\"".
-     * Dropped when the log is closed.
-     */
-    void log(const std::string &type, const std::string &fields);
-
-  private:
-    EventLog() = default;
-
-    friend void enableTelemetry(const TelemetryConfig &);
-    friend void shutdownTelemetry();
-    void open(const std::string &path);
-    void close();
-};
-
-/**
- * Install the SIGUSR1 handler: each signal requests one Prometheus
- * dump of the registry to `path`, serviced at the next
- * serviceMetricsDump() call (the daemon polls it in its accept loop —
- * dumping from the handler itself would be async-signal-unsafe).
- */
-void installMetricsDumpSignal(const std::string &path);
-
-/** Write the pending dump, if one was requested. Returns whether a
- *  dump was written. */
-bool serviceMetricsDump();
 
 } // namespace obs
 } // namespace ganacc

@@ -151,8 +151,8 @@ Client::sendLine(const std::string &line)
         ssize_t n = ::send(fd_, wire.data() + off, wire.size() - off,
                            MSG_NOSIGNAL);
         if (n < 0 && errno == EINTR)
-            continue; // interrupted by a signal (e.g. SIGUSR1
-                      // metrics dump) — not an error, retry
+            continue; // interrupted by a signal (a stop handler
+                      // without SA_RESTART) — not an error, retry
         if (n <= 0)
             util::fatal("client write: ", std::strerror(errno));
         off += std::size_t(n);

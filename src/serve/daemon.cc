@@ -25,7 +25,6 @@
 #include <unistd.h>
 
 #include "obs/metrics.hh"
-#include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
 
@@ -232,8 +231,8 @@ writeAll(int fd, const std::string &bytes)
         ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
                            MSG_NOSIGNAL);
         if (n < 0 && errno == EINTR)
-            continue; // the writer thread shares the process's signal
-                      // dispositions (SIGUSR1 metrics dump) — retry
+            continue; // the SIGTERM/SIGINT stop handlers are installed
+                      // without SA_RESTART — interrupted, retry
         if (n <= 0)
             return false;
         off += std::size_t(n);
@@ -283,9 +282,6 @@ serveListener(int listener, Engine &engine,
     while (!stop.load()) {
         pollfd pfd{listener, POLLIN, 0};
         int r = ::poll(&pfd, 1, 200 /* ms: stop-flag latency */);
-        // SIGUSR1 dumps are serviced here, on a normal thread within
-        // one poll interval of the signal — never in the handler.
-        obs::serviceMetricsDump();
         if (r < 0 && errno != EINTR)
             break;
         if (r <= 0 || !(pfd.revents & POLLIN))

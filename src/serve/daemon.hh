@@ -66,10 +66,9 @@ int listenTcp(const std::string &hostport, std::string *boundAddr);
 /**
  * Serve an already-listening socket (from listenTcp(), or any bound +
  * listening stream socket) with the shared accept loop: one thread
- * per connection, ordered responses, SIGUSR1 metrics dumps serviced
- * between polls. Returns once `*stop` becomes true, live connections
- * finish their buffered requests, and the engine drains. Closes the
- * listener.
+ * per connection, ordered responses. Returns once `*stop` becomes
+ * true (polled every 200 ms), live connections finish their buffered
+ * requests, and the engine drains. Closes the listener.
  */
 ServeTotals serveListener(int listener, Engine &engine,
                           const std::atomic<bool> &stop);

@@ -10,10 +10,8 @@
 
 #include "core/cycle_cache.hh"
 #include "gan/models.hh"
-#include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "sim/phase.hh"
-#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace ganacc {
@@ -333,15 +331,6 @@ Engine::execute(const Request &req, std::uint64_t admitUs)
     else
         mSimulated_.add(1);
     mLatencyUs_.observe(elapsed_us);
-    if (obs::EventLog::instance().enabled())
-        obs::EventLog::instance().log(
-            "serve.request",
-            "\"id\":" + std::to_string(req.id) + ",\"ok\":" +
-                (rsp.ok ? "true" : "false") + ",\"cache\":\"" +
-                rsp.cache + "\",\"latencyUs\":" +
-                std::to_string(elapsed_us) +
-                (rsp.ok ? ",\"stats\":" + sim::toJson(rsp.stats)
-                        : std::string()));
     return rsp;
 }
 
@@ -489,39 +478,6 @@ Engine::drain()
     pool_->wait();
 }
 
-std::string
-Engine::telemetryJson()
-{
-    // Build through util::json so the text is canonical: parse() +
-    // dump() of this string reproduces it byte for byte (insertion
-    // order preserved, every value an exact integer), which the
-    // protocol round-trip tests rely on.
-    const obs::Snapshot snap = obs::Registry::instance().snapshot();
-    util::json::Object counters;
-    for (const auto &[name, v] : snap.counters())
-        counters.set(name, util::json::Value(v));
-    util::json::Object gauges;
-    for (const auto &[name, v] : snap.gauges())
-        gauges.set(name, util::json::Value(std::uint64_t(
-                             v < 0 ? 0 : v))); // levels never negative
-    util::json::Object histograms;
-    for (const auto &[name, h] : snap.histograms()) {
-        util::json::Object hist;
-        hist.set("count", util::json::Value(h.count));
-        hist.set("sum", util::json::Value(h.sum));
-        util::json::Array buckets;
-        for (std::uint64_t b : h.buckets)
-            buckets.push_back(util::json::Value(b));
-        hist.set("buckets", util::json::Value(std::move(buckets)));
-        histograms.set(name, util::json::Value(std::move(hist)));
-    }
-    util::json::Object root;
-    root.set("counters", util::json::Value(std::move(counters)));
-    root.set("gauges", util::json::Value(std::move(gauges)));
-    root.set("histograms", util::json::Value(std::move(histograms)));
-    return util::json::Value(std::move(root)).dump();
-}
-
 Response
 Engine::statsResponse(std::uint64_t id) const
 {
@@ -529,7 +485,8 @@ Engine::statsResponse(std::uint64_t id) const
     rsp.id = id;
     rsp.ok = true;
     rsp.simVersion = simulatorVersion();
-    rsp.telemetry = telemetryJson();
+    rsp.telemetry =
+        encodeTelemetry(obs::Registry::instance().snapshot());
     return rsp;
 }
 

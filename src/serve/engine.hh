@@ -126,13 +126,6 @@ class Engine
      *  (the private one under ownCache, the singleton otherwise). */
     void clearMemoryCache();
 
-    /**
-     * The metric-registry snapshot as canonical JSON object text —
-     * the payload of a stats-probe response:
-     * {"counters":{...},"gauges":{...},"histograms":{...}}.
-     */
-    static std::string telemetryJson();
-
   private:
     Response execute(const Request &req, std::uint64_t admitUs);
     Response executeSpec(const Request &req);

@@ -341,6 +341,61 @@ decodeSpanBatch(const std::string &text)
 }
 
 std::string
+encodeTelemetry(const obs::Snapshot &snap)
+{
+    // Built through util::json so the text is canonical: parse() +
+    // dump() reproduces it byte for byte (insertion order preserved,
+    // every value an exact integer), which the protocol round-trip
+    // tests rely on.
+    util::json::Object counters;
+    for (const auto &[name, v] : snap.counters())
+        counters.set(name, util::json::Value(v));
+    util::json::Object gauges;
+    for (const auto &[name, v] : snap.gauges())
+        gauges.set(name, util::json::Value(std::uint64_t(
+                             v < 0 ? 0 : v))); // levels never negative
+    util::json::Object histograms;
+    for (const auto &[name, h] : snap.histograms()) {
+        util::json::Object hist;
+        hist.set("count", util::json::Value(h.count));
+        hist.set("sum", util::json::Value(h.sum));
+        util::json::Array buckets;
+        for (std::uint64_t b : h.buckets)
+            buckets.push_back(util::json::Value(b));
+        hist.set("buckets", util::json::Value(std::move(buckets)));
+        histograms.set(name, util::json::Value(std::move(hist)));
+    }
+    util::json::Object root;
+    root.set("counters", util::json::Value(std::move(counters)));
+    root.set("gauges", util::json::Value(std::move(gauges)));
+    root.set("histograms", util::json::Value(std::move(histograms)));
+    return util::json::Value(std::move(root)).dump();
+}
+
+obs::Snapshot
+decodeTelemetry(const std::string &text)
+{
+    const util::json::Value doc = util::json::parse(text);
+    const util::json::Object &o = doc.asObject();
+    obs::Snapshot snap;
+    for (const auto &[name, v] : o.at("counters").asObject().entries())
+        snap.counter(name, v.asUint64());
+    for (const auto &[name, v] : o.at("gauges").asObject().entries())
+        snap.gauge(name, std::int64_t(v.asUint64()));
+    for (const auto &[name, v] :
+         o.at("histograms").asObject().entries()) {
+        const util::json::Object &h = v.asObject();
+        obs::HistogramSnapshot hs;
+        hs.count = h.at("count").asUint64();
+        hs.sum = h.at("sum").asUint64();
+        for (const util::json::Value &b : h.at("buckets").asArray())
+            hs.buckets.push_back(b.asUint64());
+        snap.histogram(name, hs);
+    }
+    return snap;
+}
+
+std::string
 contentKey(core::ArchKind kind, const sim::Unroll &u,
            const sim::ConvSpec &spec, const std::string &version)
 {

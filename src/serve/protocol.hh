@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "core/unrolling.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/conv_spec.hh"
 #include "sim/json.hh"
@@ -154,7 +155,8 @@ struct Response
     std::uint64_t latencyUs = 0;
 
     /// Stats-probe responses only: the metric snapshot as canonical
-    /// JSON object text (empty for simulation responses).
+    /// JSON object text (serve::encodeTelemetry; empty for simulation
+    /// responses).
     std::string telemetry;
 
     /// Fleet-probe responses only: the shard map as canonical JSON
@@ -216,6 +218,22 @@ std::uint64_t fnv1a64(const std::string &bytes);
  */
 std::string encodeSpanBatch(const std::vector<obs::TraceEvent> &events);
 std::vector<obs::TraceEvent> decodeSpanBatch(const std::string &text);
+
+/**
+ * Canonical JSON codec for a metric-registry snapshot — the payload of
+ * a stats-probe response:
+ * {"counters":{…},"gauges":{…},"histograms":{"h":{"count":…,"sum":…,
+ * "buckets":[…]}}}. Names are sorted, negative gauges encode as 0 (a
+ * level is never negative on the wire) and exemplars are left out, so
+ * the payload is byte-stable. This is the one place that knows the
+ * format: the engine encodes its registry with it, and fleet merging
+ * and the conformance harness decode shard payloads into obs::Snapshot
+ * structs with it. decodeTelemetry throws util::FatalError on malformed
+ * input (a missing section, a non-array bucket list, a negative or
+ * non-numeric count).
+ */
+std::string encodeTelemetry(const obs::Snapshot &snap);
+obs::Snapshot decodeTelemetry(const std::string &text);
 
 } // namespace serve
 } // namespace ganacc

@@ -30,6 +30,7 @@
 #include "fleet/topology.hh"
 #include "fleet/trace_merge.hh"
 #include "gan/models.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "serve/daemon.hh"
 #include "serve/engine.hh"
@@ -738,6 +739,40 @@ TEST(FleetLive, ScrapeAndTraceDrainReachEveryShard)
     EXPECT_GT(total, 0u);
     EXPECT_TRUE(sawServeSpan);
     EXPECT_TRUE(sawRootSpan);
+
+    // The stats probe reaches every shard too, and the fleet report's
+    // aggregate counters are the sum of its per-shard rows.
+    auto statsReport = [&router] {
+        return util::json::parse(
+            fleet::fleetStatsReport(router.statsAll()));
+    };
+    const auto both = statsReport();
+    EXPECT_EQ(
+        both.asObject().at("fleet").asObject().at("reachable").asUint64(),
+        2u);
+    obs::Snapshot rowSum;
+    for (const auto &row : both.asObject().at("perShard").asArray()) {
+        const obs::Snapshot shard = serve::decodeTelemetry(
+            row.asObject().at("telemetry").dump());
+        for (const auto &[name, v] : shard.counters())
+            rowSum.counter(name, v);
+    }
+    const obs::Snapshot aggregate = serve::decodeTelemetry(
+        both.asObject().at("aggregate").dump());
+    EXPECT_FALSE(aggregate.counters().empty());
+    EXPECT_EQ(aggregate.counters(), rowSum.counters());
+
+    // A stopped shard still has its row, with null telemetry.
+    router.disconnect(1);
+    shards.stopShard(1);
+    const auto one = statsReport();
+    EXPECT_EQ(
+        one.asObject().at("fleet").asObject().at("reachable").asUint64(),
+        1u);
+    const auto &rows = one.asObject().at("perShard").asArray();
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_FALSE(rows[0].asObject().at("telemetry").isNull());
+    EXPECT_TRUE(rows[1].asObject().at("telemetry").isNull());
 }
 
 TEST(FleetLive, TracingIsInvisibleInResponseBytes)

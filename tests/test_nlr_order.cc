@@ -69,8 +69,9 @@ orderedSums(const ConvSpec &s, const Tensor &in, const Tensor &w)
 
 /** Both NLR zero policies at `u` must reproduce `want` bit for bit. */
 void
-expectOrderedSums(const ConvSpec &s, const Tensor &in, const Tensor &w,
-                  const Tensor &want, const Unroll &u)
+expectBothPoliciesMatch(const ConvSpec &s, const Tensor &in,
+                        const Tensor &w, const Tensor &want,
+                        const Unroll &u)
 {
     for (const Nlr::ZeroPolicy policy :
          {Nlr::ZeroPolicy::Execute, Nlr::ZeroPolicy::Skip}) {
@@ -100,7 +101,7 @@ TEST(NlrOrderOracle, CampaignJobsAtThreeUnrolls)
             const Tensor w = sim::makeStreamedKernel(s, rng);
             const Tensor want = orderedSums(s, in, w);
             for (const Unroll &u : unrolls)
-                expectOrderedSums(s, in, w, want, u);
+                expectBothPoliciesMatch(s, in, w, want, u);
             ++jobs;
         }
     EXPECT_EQ(jobs, 16);
@@ -115,7 +116,7 @@ TEST(NlrOrderOracle, FuzzCorpus)
         const Tensor w = sim::makeStreamedKernel(s, rng);
         const Unroll u{.pIf = rng.uniformInt(1, 5),
                        .pOf = rng.uniformInt(1, 20)};
-        expectOrderedSums(s, in, w, orderedSums(s, in, w), u);
+        expectBothPoliciesMatch(s, in, w, orderedSums(s, in, w), u);
     }
 }
 

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -271,7 +270,7 @@ TEST(Metrics, ExemplarsStayOutOfTheJsonTelemetrySnapshot)
     h.observe(5);
     h.exemplar(5, "cafecafecafecafecafecafecafecafe");
     const obs::Snapshot snap = reg.snapshot();
-    // The JSON path (serve::Engine::telemetryJson) reads only
+    // The JSON path (serve::encodeTelemetry) reads only
     // count/sum/buckets; the exemplar must ride the snapshot without
     // leaking into any byte-stable probe response. Guard the contract
     // here at the source: snapshots carry it in a dedicated field.
@@ -568,16 +567,45 @@ TEST(Probe, MetricsProbeTalliesPerArchCounters)
 TEST(Telemetry, ConfigFromEnvReadsAllThreeKnobs)
 {
     ::setenv("GANACC_TRACE", "t.json", 1);
-    ::setenv("GANACC_EVENTS", "e.jsonl", 1);
     ::setenv("GANACC_METRICS", "m.prom", 1);
     const obs::TelemetryConfig cfg = obs::configFromEnv();
     ::unsetenv("GANACC_TRACE");
-    ::unsetenv("GANACC_EVENTS");
     ::unsetenv("GANACC_METRICS");
     EXPECT_EQ(cfg.tracePath, "t.json");
-    EXPECT_EQ(cfg.eventsPath, "e.jsonl");
     EXPECT_EQ(cfg.metricsPath, "m.prom");
     EXPECT_TRUE(cfg.any());
+}
+
+/** The sampling knobs take only what the ganacc-served flags take: a
+ *  whole-string, finite, in-range value. Anything else warns and
+ *  keeps the default (rate 1, tail keep off). */
+TEST(Telemetry, ConfigFromEnvRejectsMalformedSamplingKnobs)
+{
+    const obs::TelemetryConfig defaults;
+    for (const char *rate : {"nan", "inf", "-0.5", "5", "0.5abc", "x"}) {
+        ::setenv("GANACC_TRACE_SAMPLE", rate, 1);
+        EXPECT_EQ(obs::configFromEnv().traceSampleRate,
+                  defaults.traceSampleRate)
+            << "GANACC_TRACE_SAMPLE=" << rate;
+    }
+    ::setenv("GANACC_TRACE_SAMPLE", "0", 1);
+    EXPECT_EQ(obs::configFromEnv().traceSampleRate, 0.0);
+    ::setenv("GANACC_TRACE_SAMPLE", "1", 1);
+    EXPECT_EQ(obs::configFromEnv().traceSampleRate, 1.0);
+    ::unsetenv("GANACC_TRACE_SAMPLE");
+
+    for (const char *tail : {"-5", "+5", " 5", "5us", "1.5", "nan",
+                             "99999999999999999999999"}) {
+        ::setenv("GANACC_TRACE_TAIL_US", tail, 1);
+        EXPECT_EQ(obs::configFromEnv().traceTailUs,
+                  defaults.traceTailUs)
+            << "GANACC_TRACE_TAIL_US=" << tail;
+    }
+    ::setenv("GANACC_TRACE_TAIL_US", "0", 1);
+    EXPECT_EQ(obs::configFromEnv().traceTailUs, 0u);
+    ::setenv("GANACC_TRACE_TAIL_US", "250", 1);
+    EXPECT_EQ(obs::configFromEnv().traceTailUs, 250u);
+    ::unsetenv("GANACC_TRACE_TAIL_US");
 }
 
 TEST(Telemetry, RunStatsAreBitIdenticalWithTelemetryOn)
@@ -631,26 +659,6 @@ TEST(Telemetry, SweepFrontierIsIdenticalWithTelemetryOn)
     fs::remove(cfg.tracePath);
 }
 
-TEST(Telemetry, EventLogWritesParseableJsonLines)
-{
-    obs::TelemetryConfig cfg;
-    cfg.eventsPath = scratchPath("events.jsonl");
-    obs::enableTelemetry(cfg);
-    ASSERT_TRUE(obs::EventLog::instance().enabled());
-    obs::EventLog::instance().log("test.event", "\"k\":42");
-    obs::shutdownTelemetry();
-    EXPECT_FALSE(obs::EventLog::instance().enabled());
-
-    std::ifstream is(cfg.eventsPath);
-    ASSERT_TRUE(bool(is));
-    std::string line;
-    ASSERT_TRUE(std::getline(is, line));
-    const auto doc = util::json::parse(line);
-    EXPECT_EQ(doc.asObject().at("ev").asString(), "test.event");
-    EXPECT_EQ(doc.asObject().at("k").asUint64(), 42u);
-    fs::remove(cfg.eventsPath);
-}
-
 TEST(Telemetry, ShutdownDumpsPrometheusMetrics)
 {
     obs::Registry::instance()
@@ -670,19 +678,6 @@ TEST(Telemetry, ShutdownDumpsPrometheusMetrics)
     EXPECT_NE(buf.str().find("# TYPE test_obs_dumped_total counter"),
               std::string::npos);
     fs::remove(cfg.metricsPath);
-}
-
-TEST(Telemetry, Sigusr1DumpIsServicedOffTheHandler)
-{
-    const std::string path = scratchPath("sigusr1.prom");
-    obs::installMetricsDumpSignal(path);
-    EXPECT_FALSE(obs::serviceMetricsDump()); // nothing requested yet
-    ASSERT_EQ(::raise(SIGUSR1), 0);
-    EXPECT_TRUE(obs::serviceMetricsDump());
-    EXPECT_FALSE(obs::serviceMetricsDump()); // one dump per signal
-    std::ifstream is(path);
-    ASSERT_TRUE(bool(is));
-    fs::remove(path);
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 
 #include "core/unrolling.hh"
 #include "obs/trace.hh"
+#include "serve/engine.hh"
 #include "serve/protocol.hh"
 #include "sim/conv_spec.hh"
 #include "sim/json.hh"
@@ -286,7 +287,7 @@ TEST(ServeProtocol, StatsProbeRejectsMalformedForms)
 TEST(ServeProtocol, TelemetryResponsesRoundTripBitExact)
 {
     // The telemetry payload is canonical JSON object text (what
-    // Engine::telemetryJson emits); build one the same way so the
+    // serve::encodeTelemetry emits); build one the same way so the
     // encode -> decode -> encode comparison is byte-exact.
     util::json::Object counters;
     counters.set("ganacc_serve_requests_total",
@@ -321,6 +322,35 @@ TEST(ServeProtocol, TelemetryResponsesRoundTripBitExact)
     serve::Response plain = serve::errorResponse(1, "x");
     EXPECT_EQ(serve::encodeResponse(plain).find("telemetry"),
               std::string::npos);
+
+    // A live engine's stats payload is a fixed point of the codec.
+    serve::EngineOptions eo;
+    eo.jobs = 1;
+    serve::Engine engine(eo);
+    serve::Request probe;
+    probe.id = 10;
+    probe.statsProbe = true;
+    const std::string live = engine.submit(probe).get().telemetry;
+    const obs::Snapshot snap = serve::decodeTelemetry(live);
+    EXPECT_EQ(snap.histograms().count("ganacc_serve_latency_us"), 1u);
+    EXPECT_EQ(serve::encodeTelemetry(snap), live);
+
+    // Malformed payloads throw FatalError instead of decoding to zero.
+    EXPECT_THROW(
+        serve::decodeTelemetry(R"({"gauges":{},"histograms":{}})"),
+        util::FatalError);
+    EXPECT_THROW(serve::decodeTelemetry(
+                     R"({"counters":{},"gauges":{},"histograms":)"
+                     R"({"h":{"count":1,"sum":1,"buckets":7}}})"),
+                 util::FatalError);
+    EXPECT_THROW(serve::decodeTelemetry(
+                     R"({"counters":{},"gauges":{},"histograms":)"
+                     R"({"h":{"count":-1,"sum":1,"buckets":[1]}}})"),
+                 util::FatalError);
+    EXPECT_THROW(serve::decodeTelemetry(
+                     R"({"counters":{"x":-1},"gauges":{},)"
+                     R"("histograms":{}})"),
+                 util::FatalError);
 }
 
 TEST(ServeProtocol, FleetProbeRequestsRoundTripBitExact)

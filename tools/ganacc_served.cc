@@ -81,11 +81,6 @@ try {
         "goldens");
     const bool quiet =
         args.getFlag("quiet", "suppress the shutdown summary");
-    const std::string metrics_dump = args.getString(
-        "metrics-dump", "",
-        "file SIGUSR1 dumps a Prometheus metrics snapshot to "
-        "(socket and TCP modes; live scrapes go through the "
-        "{\"metrics\":true} probe instead)");
     const std::string trace_path = args.getTracePath();
     const bool trace_live = args.getFlag(
         "trace-live",
@@ -118,9 +113,11 @@ try {
     if ((shard_index >= 0) != !fleet_csv.empty())
         util::fatal("--fleet and --shard-index go together");
 
-    // Telemetry: sinks come from env (GANACC_TRACE / GANACC_EVENTS /
-    // GANACC_METRICS) or --trace; status goes to stderr via inform so
-    // the JSONL response stream on stdout stays clean in --pipe mode.
+    // Telemetry: sinks come from env (GANACC_TRACE / GANACC_METRICS)
+    // or --trace; status goes to stderr via inform so the JSONL
+    // response stream on stdout stays clean in --pipe mode. Live
+    // Prometheus text comes from the {"metrics":true} probe
+    // (ganacc-client --scrape).
     obs::TelemetryConfig tcfg = obs::configFromEnv();
     if (!trace_path.empty())
         tcfg.tracePath = trace_path;
@@ -161,8 +158,6 @@ try {
         totals = serve::runPipeServer(std::cin, std::cout, engine);
         engine.drain();
     } else if (!tcp_addr.empty()) {
-        if (!metrics_dump.empty())
-            obs::installMetricsDumpSignal(metrics_dump);
         std::atomic<bool> stop{false};
         serve::installStopHandlers(stop);
         std::string bound;
@@ -177,8 +172,6 @@ try {
                   << " (" << engine.summary() << ")\n";
         totals = serve::serveListener(listener, engine, stop);
     } else {
-        if (!metrics_dump.empty())
-            obs::installMetricsDumpSignal(metrics_dump);
         std::atomic<bool> stop{false};
         serve::installStopHandlers(stop);
         std::cerr << "ganacc-served: listening on " << socket_path
