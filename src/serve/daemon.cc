@@ -12,6 +12,7 @@
 #include <deque>
 #include <functional>
 #include <istream>
+#include <list>
 #include <mutex>
 #include <ostream>
 #include <thread>
@@ -184,43 +185,6 @@ onStopSignal(int)
         g_stop_flag->store(true);
 }
 
-/** Line-buffered reader over a connected socket fd. */
-class FdLineReader
-{
-  public:
-    explicit FdLineReader(int fd) : fd_(fd) {}
-
-    /** Next full line (without '\n'); false on EOF/error. */
-    bool
-    getline(std::string &line)
-    {
-        while (true) {
-            auto nl = buf_.find('\n');
-            if (nl != std::string::npos) {
-                line = buf_.substr(0, nl);
-                buf_.erase(0, nl + 1);
-                return true;
-            }
-            char chunk[4096];
-            ssize_t n = ::read(fd_, chunk, sizeof chunk);
-            if (n < 0 && errno == EINTR)
-                continue; // interrupted by a signal, not EOF — retry
-            if (n <= 0) {
-                if (buf_.empty())
-                    return false;
-                line.swap(buf_);
-                buf_.clear();
-                return true;
-            }
-            buf_.append(chunk, std::size_t(n));
-        }
-    }
-
-  private:
-    int fd_;
-    std::string buf_;
-};
-
 bool
 writeAll(int fd, const std::string &bytes)
 {
@@ -261,6 +225,35 @@ serveConnection(int fd, Engine &engine, std::atomic<std::uint64_t> &lines,
 
 } // namespace
 
+bool
+FdLineReader::getline(std::string &line)
+{
+    while (true) {
+        const auto nl = buf_.find('\n', scan_);
+        if (nl != std::string::npos) {
+            line.assign(buf_, head_, nl - head_);
+            head_ = scan_ = nl + 1;
+            return true;
+        }
+        buf_.erase(0, head_);
+        head_ = 0;
+        scan_ = buf_.size();
+        char chunk[4096];
+        ssize_t n = ::read(fd_, chunk, sizeof chunk);
+        if (n < 0 && errno == EINTR)
+            continue; // interrupted by a signal, not EOF — retry
+        if (n <= 0) {
+            if (buf_.empty())
+                return false;
+            line.swap(buf_);
+            buf_.clear();
+            scan_ = 0;
+            return true;
+        }
+        buf_.append(chunk, std::size_t(n));
+    }
+}
+
 void
 installStopHandlers(std::atomic<bool> &flag)
 {
@@ -278,8 +271,27 @@ serveListener(int listener, Engine &engine,
 {
     std::atomic<std::uint64_t> lines{0};
     std::atomic<std::uint64_t> responses{0};
-    std::vector<std::thread> conns;
+    // A connection thread posts itself on `done` as it ends, and the
+    // accept loop joins every posted thread each time round, so a
+    // finished connection does not keep its stack mapped until
+    // shutdown.
+    using Conns = std::list<std::thread>;
+    Conns conns;
+    std::mutex done_m;
+    std::vector<Conns::iterator> done;
+    auto reap = [&] {
+        std::vector<Conns::iterator> finished;
+        {
+            std::lock_guard<std::mutex> lk(done_m);
+            finished.swap(done);
+        }
+        for (Conns::iterator it : finished) {
+            it->join();
+            conns.erase(it);
+        }
+    };
     while (!stop.load()) {
+        reap();
         pollfd pfd{listener, POLLIN, 0};
         int r = ::poll(&pfd, 1, 200 /* ms: stop-flag latency */);
         if (r < 0 && errno != EINTR)
@@ -289,8 +301,12 @@ serveListener(int listener, Engine &engine,
         int fd = ::accept(listener, nullptr, nullptr);
         if (fd < 0)
             continue;
-        conns.emplace_back([fd, &engine, &lines, &responses] {
+        const Conns::iterator it = conns.emplace(conns.end());
+        *it = std::thread([fd, it, &engine, &lines, &responses, &done_m,
+                           &done] {
             serveConnection(fd, engine, lines, responses);
+            std::lock_guard<std::mutex> lk(done_m);
+            done.push_back(it);
         });
     }
     // Drain: no new connections; live ones finish their streams.

@@ -21,6 +21,7 @@
 #define GANACC_SERVE_DAEMON_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -66,9 +67,10 @@ int listenTcp(const std::string &hostport, std::string *boundAddr);
 /**
  * Serve an already-listening socket (from listenTcp(), or any bound +
  * listening stream socket) with the shared accept loop: one thread
- * per connection, ordered responses. Returns once `*stop` becomes
- * true (polled every 200 ms), live connections finish their buffered
- * requests, and the engine drains. Closes the listener.
+ * per connection, joined by the loop once the connection ends, and
+ * ordered responses. Returns once `*stop` becomes true (polled every
+ * 200 ms), live connections finish their buffered requests, and the
+ * engine drains. Closes the listener.
  */
 ServeTotals serveListener(int listener, Engine &engine,
                           const std::atomic<bool> &stop);
@@ -81,6 +83,29 @@ ServeTotals serveListener(int listener, Engine &engine,
 ServeTotals runTcpServer(const std::string &hostport, Engine &engine,
                          const std::atomic<bool> &stop,
                          std::string *boundAddr = nullptr);
+
+/**
+ * Line-buffered reader over a connected stream socket, as the socket
+ * transports read requests. Each byte is scanned for '\n' once: a
+ * scan resumes where the last one stopped, and the consumed prefix is
+ * dropped once per read rather than once per line, so a long line or
+ * a batch of many lines costs linear time.
+ */
+class FdLineReader
+{
+  public:
+    explicit FdLineReader(int fd) : fd_(fd) {}
+
+    /** Next full line (without '\n'). At EOF or on a read error, the
+     *  unterminated rest if there is any, else false. */
+    bool getline(std::string &line);
+
+  private:
+    int fd_;
+    std::string buf_;
+    std::size_t head_ = 0; ///< where the next line starts in buf_
+    std::size_t scan_ = 0; ///< buf_[head_, scan_) holds no '\n'
+};
 
 /** Install SIGTERM/SIGINT handlers that set `flag`. */
 void installStopHandlers(std::atomic<bool> &flag);

@@ -5,6 +5,8 @@
 
 #include "sim/conv_spec.hh"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -260,46 +262,47 @@ namespace {
 bool
 zeroSkipIsExact(const ConvSpec &spec, const Tensor &in, const Tensor &w)
 {
-    for (int c = 0; c < spec.nif; ++c)
-        for (int y = 0; y < spec.ih; ++y)
-            for (int x = 0; x < spec.iw; ++x) {
-                const float v = in.get(0, c, y, x);
-                if (!std::isfinite(v) ||
-                    (v != 0.0f && spec.inputIsZero(y, x)))
+    // `zero` marks the structural slots of one plane of `v`.
+    auto exact = [](const float *v, std::size_t planes,
+                    const std::vector<char> &zero) {
+        for (std::size_t p = 0; p < planes; ++p)
+            for (std::size_t i = 0; i < zero.size(); ++i, ++v)
+                if (!std::isfinite(*v) || (*v != 0.0f && zero[i]))
                     return false;
-            }
-    for (int of = 0; of < w.shape().d0; ++of)
-        for (int c = 0; c < w.shape().d1; ++c)
-            for (int ky = 0; ky < spec.kh; ++ky)
-                for (int kx = 0; kx < spec.kw; ++kx) {
-                    const float v = w.get(of, c, ky, kx);
-                    if (!std::isfinite(v) ||
-                        (v != 0.0f && spec.kernelIsZero(ky, kx)))
-                        return false;
-                }
-    return true;
+        return true;
+    };
+    std::vector<char> in_zero, k_zero;
+    for (int y = 0; y < spec.ih; ++y)
+        for (int x = 0; x < spec.iw; ++x)
+            in_zero.push_back(spec.inputIsZero(y, x));
+    for (int ky = 0; ky < spec.kh; ++ky)
+        for (int kx = 0; kx < spec.kw; ++kx)
+            k_zero.push_back(spec.kernelIsZero(ky, kx));
+    return exact(in.data(), std::size_t(spec.nif), in_zero) &&
+           exact(w.data(), w.numel() / k_zero.size(), k_zero);
 }
 
-/** The reference's output loop; `dot(of, c, wc, oy, ox)` sums one
- *  output's products over (ky, kx) in row-major tap order. */
-template <typename Dot>
-void
-convLoop(const ConvSpec &spec, Tensor &out, Dot dot)
+/** Tap lists naming every (ky, kx) of every output, padding
+ *  included: the dense loop. */
+EffectualTaps
+everyTap(const ConvSpec &spec)
 {
-    for (int of = 0; of < spec.nof; ++of) {
-        for (int c = 0; c < spec.nif; ++c) {
-            int wc = spec.fourDimOutput ? 0 : c;
-            for (int oy = 0; oy < spec.oh; ++oy)
-                for (int ox = 0; ox < spec.ow; ++ox) {
-                    const double acc = dot(of, c, wc, oy, ox);
-                    if (spec.fourDimOutput)
-                        out.ref(of, c, oy, ox) = float(acc);
-                    else
-                        out.ref(0, of, oy, ox) += float(acc);
-                }
-        }
-    }
+    auto all = [](int out_extent, int k_extent) {
+        std::vector<int> ks;
+        for (int k = 0; k < k_extent; ++k)
+            ks.push_back(k);
+        return std::vector<std::vector<int>>(std::size_t(out_extent), ks);
+    };
+    return {all(spec.oh, spec.kh), all(spec.ow, spec.kw)};
 }
+
+/** One product of an output's sum: its input slot within an input
+ *  plane and its kernel tap, both row-major. */
+struct Tap
+{
+    int slot;
+    int k;
+};
 
 } // namespace
 
@@ -309,38 +312,104 @@ genericConvRef(const ConvSpec &spec, const Tensor &in, const Tensor &w)
     spec.validate();
     GANACC_ASSERT(in.shape() == Shape4(1, spec.nif, spec.ih, spec.iw),
                   "streamed input shape mismatch for ", spec.describe());
-    GANACC_ASSERT(w.shape().d2 == spec.kh && w.shape().d3 == spec.kw,
+    const int nof = spec.nof;
+    const int kif = spec.fourDimOutput ? 1 : spec.nif;
+    GANACC_ASSERT(w.shape() == Shape4(nof, kif, spec.kh, spec.kw),
                   "streamed kernel shape mismatch for ", spec.describe());
-    Tensor out = makeOutputTensor(spec);
-    if (!zeroSkipIsExact(spec, in, w)) {
-        // Dense loop over every slot, padding included.
-        convLoop(spec, out, [&](int of, int c, int wc, int oy, int ox) {
-            double acc = 0.0;
-            for (int ky = 0; ky < spec.kh; ++ky)
-                for (int kx = 0; kx < spec.kw; ++kx) {
-                    int iy = oy * spec.stride + ky - spec.pad;
-                    int ix = ox * spec.stride + kx - spec.pad;
-                    acc += double(in.getPadded(0, c, iy, ix)) *
-                           w.get(of, wc, ky, kx);
-                }
-            return acc;
-        });
-        return out;
+
+    // The zero-skipping walk lists only in-range taps and reads the
+    // input as it is. The dense fallback lists every tap and reads a
+    // copy zero-padded as far as any tap reaches, because its padding
+    // products stay: 0 * Inf is NaN. Neither read needs a bounds test.
+    const bool skip = zeroSkipIsExact(spec, in, w);
+    const EffectualTaps lists = skip ? effectualTaps(spec) : everyTap(spec);
+    const int shift = skip ? spec.pad : 0;
+    const int ph = skip ? spec.ih
+                        : std::max(spec.pad + spec.ih,
+                                   (spec.oh - 1) * spec.stride + spec.kh);
+    const int pw = skip ? spec.iw
+                        : std::max(spec.pad + spec.iw,
+                                   (spec.ow - 1) * spec.stride + spec.kw);
+    std::vector<float> padded;
+    if (!skip) {
+        padded.assign(std::size_t(spec.nif) * ph * pw, 0.0f);
+        for (int c = 0; c < spec.nif; ++c)
+            for (int y = 0; y < spec.ih; ++y)
+                std::copy_n(&in.data()[in.shape().offset(0, c, y, 0)],
+                            spec.iw,
+                            &padded[(std::size_t(c) * ph + spec.pad + y) *
+                                        pw +
+                                    spec.pad]);
     }
-    // Every listed tap is in range, so no bounds test per product.
-    const EffectualTaps taps = effectualTaps(spec);
-    convLoop(spec, out, [&](int of, int c, int wc, int oy, int ox) {
-        double acc = 0.0;
-        for (int ky : taps.rows[std::size_t(oy)]) {
-            const int iy = oy * spec.stride + ky - spec.pad;
-            for (int kx : taps.cols[std::size_t(ox)]) {
-                const int ix = ox * spec.stride + kx - spec.pad;
-                acc += double(in.get(0, c, iy, ix)) *
-                       w.get(of, wc, ky, kx);
+    const float *planes = skip ? in.data() : padded.data();
+
+    // Each output's taps in row-major (ky, kx) order, outputs in
+    // raster order: output p owns taps[first[p], first[p + 1]).
+    std::vector<Tap> taps;
+    std::vector<std::size_t> first;
+    for (int oy = 0; oy < spec.oh; ++oy)
+        for (int ox = 0; ox < spec.ow; ++ox) {
+            first.push_back(taps.size());
+            for (int ky : lists.rows[std::size_t(oy)])
+                for (int kx : lists.cols[std::size_t(ox)])
+                    taps.push_back(
+                        {(oy * spec.stride + ky - shift) * pw +
+                             ox * spec.stride + kx - shift,
+                         ky * spec.kw + kx});
+        }
+    first.push_back(taps.size());
+
+    // Output maps advance together, eight at a time and then one by
+    // one: one double accumulator per map, held in registers, starts
+    // at +0 and takes the output's taps in order, so each lane's
+    // operations are those of summing one output at a time. Input maps
+    // go in ascending c inside each group, which is the order the sums
+    // reach a non-4-D output in; a 4-D output's planes fill in memory
+    // order.
+    Tensor out = makeOutputTensor(spec);
+    const std::size_t outputs = first.size() - 1;
+    const std::size_t area = std::size_t(spec.kh) * std::size_t(spec.kw);
+    std::vector<float> wg(area * 8); // a group's weights, [ky][kx][of]
+    for (int of0 = 0; of0 < nof;) {
+        const int lanes = nof - of0 >= 8 ? 8 : 1;
+        for (int c = 0; c < spec.nif; ++c) {
+            // Input map c's weights for the group (a 4-D job has one
+            // kernel plane), so a tap's lanes are contiguous.
+            if (c < kif)
+                for (int j = 0; j < lanes; ++j) {
+                    const float *src =
+                        &w.data()[w.shape().offset(of0 + j, c, 0, 0)];
+                    for (std::size_t t = 0; t < area; ++t)
+                        wg[t * std::size_t(lanes) + std::size_t(j)] = src[t];
+                }
+            const float *in_c = planes + std::size_t(c) * ph * pw;
+            std::array<float *, 8> o{};
+            for (int j = 0; j < lanes; ++j)
+                o[j] = spec.fourDimOutput ? &out.ref(of0 + j, c, 0, 0)
+                                          : &out.ref(0, of0 + j, 0, 0);
+            for (std::size_t p = 0; p < outputs; ++p) {
+                std::array<double, 8> acc{};
+                if (lanes == 8)
+                    for (std::size_t t = first[p]; t < first[p + 1]; ++t) {
+                        const double x = in_c[taps[t].slot];
+                        const float *wr = &wg[std::size_t(taps[t].k) * 8];
+                        for (int j = 0; j < 8; ++j)
+                            acc[j] += x * double(wr[j]);
+                    }
+                else
+                    for (std::size_t t = first[p]; t < first[p + 1]; ++t)
+                        acc[0] += double(in_c[taps[t].slot]) *
+                                  double(wg[std::size_t(taps[t].k)]);
+                for (int j = 0; j < lanes; ++j) {
+                    if (spec.fourDimOutput)
+                        o[j][p] = float(acc[j]);
+                    else
+                        o[j][p] += float(acc[j]);
+                }
             }
         }
-        return acc;
-    });
+        of0 += lanes;
+    }
     return out;
 }
 

@@ -173,18 +173,29 @@ EffectualTaps effectualTaps(const ConvSpec &spec);
 
 /**
  * Golden-model execution of a spec. Output is (1, nof, oh, ow), or
- * (nof, nif, oh, ow) for four-dim jobs; each output sums its products
- * in a double, over (ky, kx) in row-major order.
+ * (nof, nif, oh, ow) for four-dim jobs. Each output (of, c, oy, ox)
+ * sums its products in its own double, starting at +0, over (ky, kx)
+ * in row-major order; a non-four-dim output then adds those sums,
+ * each rounded to float, in ascending c. Nothing else fixes the bits.
  *
- * The loop visits only the effectual taps of each output
- * (effectualTaps) and skips every structural-zero and padding
- * product. That is bit-identical to the dense loop because a skipped
- * product is +-0 and adding +-0 never changes an accumulator that
- * starts at +0 — provided every operand is finite and every
- * structural-zero slot of the input and the kernel holds +-0. Both
- * conditions are checked once per call; if either fails (a NaN or
- * an infinity anywhere, or a bit-flipped structural slot), the call
- * runs the dense loop over every slot instead.
+ * So output maps advance together: the loop runs groups of eight
+ * maps, then the rest one by one, and in each group c -> oy -> ox ->
+ * taps, with one register accumulator per map. Each lane's operations
+ * and their order are those of summing one output at a time (library
+ * code is built without FP contraction). The kernel is copied once,
+ * one group at a time, into [ky][kx][of] order, so a tap's weights
+ * for the group are contiguous.
+ *
+ * The taps are the effectual ones of each output (effectualTaps):
+ * every structural-zero and padding product is skipped. That is
+ * bit-identical to the dense loop because a skipped product is +-0
+ * and adding +-0 never changes an accumulator that starts at +0 —
+ * provided every operand is finite and every structural-zero slot of
+ * the input and the kernel holds +-0. Both conditions are checked
+ * once per call; if either fails (a NaN or an infinity anywhere, or
+ * a bit-flipped structural slot), the same loop runs every tap of
+ * every output over a zero-padded copy of the input, padding
+ * products included.
  */
 tensor::Tensor genericConvRef(const ConvSpec &spec,
                               const tensor::Tensor &in,

@@ -381,6 +381,36 @@ TEST(ConvSpec, GenericConvRefBitIdenticalToDenseOnFuzzCorpus)
         expectMatchesDenseOracle(tests::randomSpec(rng), rng);
 }
 
+/**
+ * The fuzz corpus with wide output-map runs: nof in [5, 40], odd
+ * counts included, so a run fills whole groups of eight maps and
+ * leaves a tail of one-by-one maps. The draw covers 4-D, stuffed and
+ * padded specs, and input maps that accumulate across c.
+ */
+TEST(ConvSpec, GenericConvRefBitIdenticalOnWideOutputMaps)
+{
+    Rng rng(0x0F5EEDULL);
+    int four_dim = 0, stuffed = 0, padded = 0, odd = 0, tail = 0,
+        multi_c = 0;
+    for (int i = 0; i < 60; ++i) {
+        ConvSpec s = tests::randomSpec(rng);
+        s.nof = rng.uniformInt(5, 40);
+        four_dim += s.fourDimOutput;
+        stuffed += s.inZeroStride == 2;
+        padded += s.pad > 0;
+        odd += s.nof % 2;
+        tail += s.nof > 8 && s.nof % 8 != 0;
+        multi_c += !s.fourDimOutput && s.nif > 1;
+        expectMatchesDenseOracle(s, rng);
+    }
+    EXPECT_GT(four_dim, 0);
+    EXPECT_GT(stuffed, 0);
+    EXPECT_GT(padded, 0);
+    EXPECT_GT(odd, 0);
+    EXPECT_GT(tail, 0);
+    EXPECT_GT(multi_c, 0);
+}
+
 /** The 16 MNIST-GAN jobs of the four Table V families. */
 std::vector<ConvSpec>
 mnistGanJobs()

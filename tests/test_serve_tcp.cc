@@ -5,7 +5,9 @@
  * pinned malformed-frame table on one connection, expose its fleet
  * topology through the {"fleet":true} probe (and refuse it when not
  * part of a fleet), accept `put` write-through, and the client's
- * connect retry must ride out a daemon that binds late.
+ * connect retry must ride out a daemon that binds late. The accept
+ * loop must join finished connections, and the socket line reader
+ * must return every line exactly once.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +15,14 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <malloc.h>
+#include <pthread.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "conform/ops.hh"
@@ -325,3 +331,106 @@ TEST(ServeTcp, ZeroRetriesOnAMissingEndpointFailsFast)
 }
 
 } // namespace
+
+namespace {
+
+/** This process's VmSize in kB, from /proc/self/status. */
+long
+vmSizeKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stol(line.substr(7));
+    return -1;
+}
+
+} // namespace
+
+TEST(ServeTcp, FinishedConnectionsAreJoinedAsTheyEnd)
+{
+    // One malloc arena, so that VmSize moves with thread stacks and
+    // not with the 64 MB arena reservations new threads may make. A
+    // sanitizer's allocator has no such arenas and refuses the call.
+    mallopt(M_ARENA_MAX, 1);
+    serve::EngineOptions eo;
+    eo.jobs = 1;
+    TcpDaemon daemon(eo);
+    auto oneConnection = [&] {
+        serve::Client client;
+        client.connect(daemon.address());
+        serve::Request probe;
+        probe.id = 1;
+        probe.statsProbe = true;
+        const serve::Response rsp = client.roundTrip(probe);
+        EXPECT_TRUE(rsp.ok) << rsp.error;
+    };
+    // The first connections map the allocator arenas and cached
+    // stacks that later ones reuse.
+    for (int i = 0; i < 8; ++i)
+        oneConnection();
+    const long before = vmSizeKb();
+    ASSERT_GT(before, 0);
+    for (int i = 0; i < 64; ++i)
+        oneConnection();
+    const long grown = vmSizeKb() - before;
+
+    pthread_attr_t attr;
+    ASSERT_EQ(0, pthread_getattr_default_np(&attr));
+    std::size_t stack = 0;
+    pthread_attr_getstacksize(&attr, &stack);
+    pthread_attr_destroy(&attr);
+    // Unjoined, 64 connections would keep 64 stacks mapped.
+    EXPECT_LT(grown, 4 * long(stack / 1024))
+        << "VmSize grew " << grown << " kB over 64 connections";
+}
+
+TEST(ServeTcp, FdLineReaderReturnsEveryLineOnce)
+{
+    int fds[2];
+    ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds));
+    auto sendAll = [&](const std::string &bytes) {
+        std::size_t off = 0;
+        while (off < bytes.size()) {
+            const ssize_t n = ::send(fds[1], bytes.data() + off,
+                                     bytes.size() - off, 0);
+            ASSERT_GT(n, 0);
+            off += std::size_t(n);
+        }
+    };
+    serve::FdLineReader reader(fds[0]);
+    std::string line;
+
+    // Many lines in one read: all are buffered before the first.
+    std::string batch;
+    for (int i = 0; i < 64; ++i)
+        batch += "line " + std::to_string(i) + "\n";
+    sendAll(batch);
+    for (int i = 0; i < 64; ++i) {
+        ASSERT_TRUE(reader.getline(line));
+        EXPECT_EQ(line, "line " + std::to_string(i));
+    }
+
+    // A line split across reads, a 1 MB line (far more than one read
+    // and than the socket buffer, so a second thread writes), and a
+    // final line with no '\n' before EOF.
+    const std::string big(std::size_t(1) << 20, 'x');
+    sendAll("a split ");
+    std::thread writer([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        sendAll("line\n" + big + "\n" + "tail");
+        ::shutdown(fds[1], SHUT_WR);
+    });
+    ASSERT_TRUE(reader.getline(line));
+    EXPECT_EQ(line, "a split line");
+    ASSERT_TRUE(reader.getline(line));
+    EXPECT_EQ(line.size(), big.size());
+    EXPECT_TRUE(line == big);
+    ASSERT_TRUE(reader.getline(line));
+    EXPECT_EQ(line, "tail");
+    EXPECT_FALSE(reader.getline(line));
+    writer.join();
+    ::close(fds[0]);
+    ::close(fds[1]);
+}
