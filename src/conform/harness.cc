@@ -57,42 +57,6 @@ writeAllFd(int fd, const std::string &bytes)
     return true;
 }
 
-/** Line-buffered reader over a pipe fd (mirror of the daemon's). */
-class LineReader
-{
-  public:
-    explicit LineReader(int fd) : fd_(fd) {}
-
-    bool
-    getline(std::string &line)
-    {
-        while (true) {
-            auto nl = buf_.find('\n');
-            if (nl != std::string::npos) {
-                line = buf_.substr(0, nl);
-                buf_.erase(0, nl + 1);
-                return true;
-            }
-            char chunk[4096];
-            ssize_t n = ::read(fd_, chunk, sizeof chunk);
-            if (n < 0 && errno == EINTR)
-                continue;
-            if (n <= 0) {
-                if (buf_.empty())
-                    return false;
-                line.swap(buf_);
-                buf_.clear();
-                return true;
-            }
-            buf_.append(chunk, std::size_t(n));
-        }
-    }
-
-  private:
-    int fd_;
-    std::string buf_;
-};
-
 /** A daemon under test: start, exchange lines, stop-and-drain. */
 class Sut
 {
@@ -292,7 +256,7 @@ class PipeSut : public Sut
                 threadError_ = e.what();
             }
         });
-        reader_ = std::make_unique<LineReader>(fromSrv_[0]);
+        reader_ = std::make_unique<serve::FdLineReader>(fromSrv_[0]);
     }
 
     std::vector<std::string>
@@ -344,7 +308,7 @@ class PipeSut : public Sut
     RunOptions opt_;
     std::string storeDir_;
     std::unique_ptr<serve::Engine> engine_;
-    std::unique_ptr<LineReader> reader_;
+    std::unique_ptr<serve::FdLineReader> reader_;
     std::thread thread_;
     serve::ServeTotals totals_;
     std::string threadError_;

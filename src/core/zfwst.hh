@@ -44,10 +44,8 @@ class Zfwst : public sim::Architecture
     bool scheduleModel(const sim::ConvSpec &spec,
                        sim::ScheduleModel &model) const override;
 
-  protected:
-    sim::RunStats doRun(const sim::ConvSpec &spec,
-                        const tensor::Tensor *in, const tensor::Tensor *w,
-                        tensor::Tensor *out) const override;
+    bool dataflow(const sim::ConvSpec &spec,
+                  sim::Dataflow &d) const override;
 };
 
 } // namespace core

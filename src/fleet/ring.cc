@@ -13,6 +13,28 @@
 namespace ganacc {
 namespace fleet {
 
+namespace {
+
+/**
+ * The ring position of a vnode name or key: FNV-1a-64 passed through
+ * murmur3's fmix64 finalizer. FNV-1a's last multiply leaves names that
+ * differ in one digit ("<addr>#1", "<addr>#2") in a fixed pattern, so
+ * raw hashes cut very uneven arcs; the finalizer spreads them.
+ */
+std::uint64_t
+position(const std::string &s)
+{
+    std::uint64_t k = serve::fnv1a64(s);
+    k ^= k >> 33;
+    k *= 0xff51afd7ed558ccdULL;
+    k ^= k >> 33;
+    k *= 0xc4ceb9fe1a85ec53ULL;
+    k ^= k >> 33;
+    return k;
+}
+
+} // namespace
+
 Ring::Ring(const std::vector<std::string> &shards, int vnodes)
     : shardCount_(int(shards.size()))
 {
@@ -24,8 +46,7 @@ Ring::Ring(const std::vector<std::string> &shards, int vnodes)
     for (std::size_t s = 0; s < shards.size(); ++s)
         for (int v = 0; v < vnodes; ++v)
             points_.emplace_back(
-                serve::fnv1a64(shards[s] + "#" + std::to_string(v)),
-                int(s));
+                position(shards[s] + "#" + std::to_string(v)), int(s));
     // Sort by hash; break the (astronomically unlikely) hash tie by
     // shard index so placement stays deterministic regardless of the
     // construction order above.
@@ -35,7 +56,7 @@ Ring::Ring(const std::vector<std::string> &shards, int vnodes)
 int
 Ring::primary(const std::string &key) const
 {
-    const std::uint64_t h = serve::fnv1a64(key);
+    const std::uint64_t h = position(key);
     auto it = std::lower_bound(
         points_.begin(), points_.end(),
         std::make_pair(h, 0),
@@ -55,7 +76,7 @@ Ring::replicas(const std::string &key, int rf) const
         rf = shardCount_;
     if (rf < 1)
         rf = 1;
-    const std::uint64_t h = serve::fnv1a64(key);
+    const std::uint64_t h = position(key);
     auto it = std::lower_bound(
         points_.begin(), points_.end(),
         std::make_pair(h, 0),

@@ -3,11 +3,12 @@
  * Consistent-hash ring over fleet shards.
  *
  * Each shard contributes `vnodes` points to a 64-bit ring, at
- * FNV-1a-64("<address>#<vnode-index>") — the same hash family as the
- * serving content key, so no new primitives. A key is owned by the
+ * fmix64(FNV-1a-64("<address>#<vnode-index>")): the serving content
+ * key's hash, passed through murmur3's 64-bit finalizer so that vnode
+ * names differing in one digit land far apart. A key is owned by the
  * shard of the first ring point at or clockwise after
- * FNV-1a-64(key); its replicas are the next rf-1 *distinct* shards
- * further clockwise. Properties the fleet relies on:
+ * fmix64(FNV-1a-64(key)); its replicas are the next rf-1 *distinct*
+ * shards further clockwise. Properties the fleet relies on:
  *
  *  - Determinism: every client and shard computes identical placement
  *    from the shared Topology — there is no placement metadata

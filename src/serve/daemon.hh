@@ -85,11 +85,12 @@ ServeTotals runTcpServer(const std::string &hostport, Engine &engine,
                          std::string *boundAddr = nullptr);
 
 /**
- * Line-buffered reader over a connected stream socket, as the socket
- * transports read requests. Each byte is scanned for '\n' once: a
- * scan resumes where the last one stopped, and the consumed prefix is
- * dropped once per read rather than once per line, so a long line or
- * a batch of many lines costs linear time.
+ * Line-buffered reader over any readable fd: a connected socket, as
+ * the socket transports read requests, or a pipe, as the conformance
+ * harness reads a piped daemon's responses. Each byte is scanned for
+ * '\n' once: a scan resumes where the last one stopped, and the
+ * consumed prefix is dropped once per read rather than once per line,
+ * so a long line or a batch of many lines costs linear time.
  */
 class FdLineReader
 {

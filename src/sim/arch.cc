@@ -10,6 +10,7 @@
 
 #include "obs/probe.hh"
 #include "sim/closed_form.hh"
+#include "sim/walker.hh"
 #include "util/logging.hh"
 
 namespace ganacc {
@@ -24,85 +25,14 @@ Unroll::str() const
     return os.str();
 }
 
-Architecture::MacPath::MacPath(MacFaultHook *hook,
-                               const CycleProjection &proj)
-    : hook_(hook), presented_(hook != nullptr)
+RunStats
+Architecture::doRun(const ConvSpec &spec, const tensor::Tensor *in,
+                    const tensor::Tensor *w, tensor::Tensor *out) const
 {
-    if (hook_ == nullptr)
-        return;
-    ineffectual_ = hook_->visitIneffectual();
-    const MacRowFilter *f = hook_->rowFilter();
-    if (f == nullptr)
-        return;
-    filter_ = *f;
-    filtered_ = true;
-    // A settled cycle tallies its ineffectual MACs as quiet, so only a
-    // walk that would visit them may settle it.
-    if (!ineffectual_ || filter_.rows == nullptr)
-        return;
-    settles_ = true;
-    const std::uint64_t *const stride = filter_.stride;
-    for (const std::uint64_t row : *filter_.rows) {
-        const std::uint64_t in_c = row % stride[0],
-                            in_oy = in_c % stride[1],
-                            in_ox = in_oy % stride[2];
-        const std::uint64_t bit =
-            proj.key(int(row / stride[0]), int(in_c / stride[1]),
-                     int(in_oy / stride[2]), int(in_ox / stride[3]),
-                     int(in_ox % stride[3])) &
-            kCycleMask;
-        cycleBits_[bit >> 6] |= std::uint64_t(1) << (bit & 63);
-    }
-}
-
-void
-Architecture::hookedRow(MacFaultHook &hook, float *acc, const float *k,
-                        float v, MacContext ctx, int of_cnt)
-{
-    const int lane0 = ctx.lane, of0 = ctx.of;
-    for (int f = 0; f < of_cnt; ++f) {
-        ctx.lane = lane0 + f;
-        ctx.of = of0 + f;
-        acc[f] += hook.onMac(ctx, v, k[f]);
-    }
-}
-
-void
-Architecture::RegisterBlock::load(const ConvSpec &spec,
-                                  const tensor::Tensor &out, int c)
-{
-    const std::size_t step = RowOperands::sumStep(spec, out);
-    float *entry = sums_.data();
-    for (int p = 0; p < planes_; ++p)
-        for (int i = 0; i < ny_; ++i)
-            for (int j = 0; j < nx_; ++j, entry += ofCnt_) {
-                const float *src =
-                    out.data() + RowOperands::sumOffset(spec, out, of0_,
-                                                        c + p,
-                                                        y0_ + i * step_,
-                                                        x0_ + j * step_);
-                for (int f = 0; f < ofCnt_; ++f)
-                    entry[f] = src[std::size_t(f) * step];
-            }
-}
-
-void
-Architecture::RegisterBlock::store(const ConvSpec &spec,
-                                   tensor::Tensor &out, int c) const
-{
-    const std::size_t step = RowOperands::sumStep(spec, out);
-    const float *entry = sums_.data();
-    for (int p = 0; p < planes_; ++p)
-        for (int i = 0; i < ny_; ++i)
-            for (int j = 0; j < nx_; ++j, entry += ofCnt_) {
-                float *dst =
-                    out.data() + RowOperands::sumOffset(spec, out, of0_,
-                                                        c + p,
-                                                        y0_ + i * step_,
-                                                        x0_ + j * step_);
-                for (int f = 0; f < ofCnt_; ++f)
-                    dst[std::size_t(f) * step] = entry[f];
-            }
+    Dataflow d;
+    GANACC_ASSERT(dataflow(spec, d), name_,
+                  " has neither a dataflow nor a walk of its own");
+    return walk(*this, d, spec, in, w, out);
 }
 
 RunStats

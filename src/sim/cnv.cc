@@ -24,7 +24,7 @@ Cnv::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
                   "functional operands (timing-only runs are "
                   "impossible by construction)");
     const int n_pes = numPes();
-    ScheduleRecorder *const rec = schedRec();
+    ScheduleRecorder *const rec = scheduleRecorder();
     RunStats st;
 
     // Partial sums accumulate in the zero-initialized output buffer:

@@ -50,10 +50,7 @@ class Nlr : public Architecture
     bool scheduleModel(const ConvSpec &spec,
                        ScheduleModel &model) const override;
 
-  protected:
-    RunStats doRun(const ConvSpec &spec, const tensor::Tensor *in,
-                   const tensor::Tensor *w,
-                   tensor::Tensor *out) const override;
+    bool dataflow(const ConvSpec &spec, Dataflow &d) const override;
 
   private:
     ZeroPolicy policy_;

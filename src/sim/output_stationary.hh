@@ -48,15 +48,13 @@ class OutputStationary : public Architecture
     bool scheduleModel(const ConvSpec &spec,
                        ScheduleModel &model) const override;
 
+    bool dataflow(const ConvSpec &spec, Dataflow &d) const override;
+
   protected:
     OutputStationary(std::string name, Unroll unroll, bool zero_free,
                      bool reordered_feed)
         : Architecture(std::move(name), unroll), zero_free_(zero_free),
           reordered_feed_(reordered_feed) {}
-
-    RunStats doRun(const ConvSpec &spec, const tensor::Tensor *in,
-                   const tensor::Tensor *w,
-                   tensor::Tensor *out) const override;
 
   private:
     bool zero_free_;

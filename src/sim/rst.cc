@@ -20,7 +20,7 @@ Rst::doRun(const ConvSpec &spec, const Tensor *in, const Tensor *w,
 {
     const bool functional = in != nullptr;
     const int n_pes = numPes();
-    ScheduleRecorder *const rec = schedRec();
+    ScheduleRecorder *const rec = scheduleRecorder();
     RunStats st;
 
     const int ktiles = (spec.kh + unroll_.pKy - 1) / unroll_.pKy;

@@ -14,10 +14,12 @@
 
 #include <atomic>
 #include <filesystem>
+#include <initializer_list>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -39,6 +41,7 @@
 #include "sim/phase.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
+#include "util/random.hh"
 
 namespace {
 
@@ -109,6 +112,46 @@ TEST(FleetRing, ReplicaWalkIsDistinctPrimaryFirstAndClamped)
         EXPECT_EQ(clamped[0], two[0]);
         EXPECT_EQ(clamped[1], two[1])
             << "the rf=2 walk must be a prefix of the rf=3 walk";
+    }
+}
+
+/** Exact keyspace shares from the ring points: point i owns the arc
+ *  (p[i-1], p[i]], and the first point the wrap-around arc too. */
+std::vector<double>
+arcShares(const fleet::Ring &ring)
+{
+    const auto &pts = ring.points();
+    std::vector<double> share(std::size_t(ring.shardCount()), 0.0);
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+        const std::uint64_t prev =
+            pts[(i + pts.size() - 1) % pts.size()].first;
+        share[std::size_t(pts[i].second)] +=
+            double(pts[i].first - prev) / 18446744073709551616.0;
+    }
+    return share;
+}
+
+TEST(FleetRing, SharesStayBalancedOnLoopbackPorts)
+{
+    // Loopback shards differ only in their port digits, the layout of
+    // every local fleet and of the serving benchmark; 64 vnodes each.
+    util::Rng rng(0xB41A4CEULL);
+    for (int draw = 0; draw < 50; ++draw) {
+        for (const auto &[n, bound] : {std::pair{3, 0.50}, {2, 0.70}}) {
+            std::set<int> ports;
+            while (int(ports.size()) < n)
+                ports.insert(rng.uniformInt(1024, 65535));
+            std::vector<std::string> shards;
+            for (int port : ports)
+                shards.push_back("127.0.0.1:" + std::to_string(port));
+            const std::vector<double> share =
+                arcShares(fleet::Ring(shards, 64));
+            for (int s = 0; s < n; ++s)
+                EXPECT_LE(share[std::size_t(s)], bound)
+                    << n << " shards, draw " << draw << ": "
+                    << shards[std::size_t(s)] << " owns "
+                    << share[std::size_t(s)] << " of the keyspace";
+        }
     }
 }
 
@@ -324,13 +367,14 @@ scratchRoot(const char *tag)
         .string();
 }
 
-/** The mnist-gan D jobs as spec requests across two arch kinds — a
- *  real workload whose keys spread over the ring. Deduplicated by
- *  content key so every request has its own cache entry (repeated
- *  layer shapes would pipeline into single-flight "dup" followers
- *  and muddy tier assertions). */
+/** The mnist-gan jobs of `families` (D alone by default) as spec
+ *  requests across two arch kinds — a real workload whose keys spread
+ *  over the ring. Deduplicated by content key so every request has its
+ *  own cache entry (repeated layer shapes would pipeline into
+ *  single-flight "dup" followers and muddy tier assertions). */
 std::vector<serve::Request>
-sampleWorkload()
+sampleWorkload(std::initializer_list<sim::PhaseFamily> families = {
+                   sim::PhaseFamily::D})
 {
     std::vector<serve::Request> reqs;
     std::set<std::string> seen;
@@ -338,19 +382,20 @@ sampleWorkload()
     std::uint64_t id = 1;
     for (core::ArchKind kind :
          {core::ArchKind::NLR, core::ArchKind::ZFOST}) {
-        const sim::Unroll u = core::paperUnroll(
-            kind, core::BankRole::ST, sim::PhaseFamily::D, 1200);
-        for (const auto &job :
-             sim::familyJobs(model, sim::PhaseFamily::D)) {
-            if (!seen.insert(serve::contentKey(kind, u, job)).second)
-                continue;
-            serve::Request req;
-            req.id = id++;
-            req.kind = kind;
-            req.unroll = u;
-            req.hasSpec = true;
-            req.spec = job;
-            reqs.push_back(req);
+        for (sim::PhaseFamily family : families) {
+            const sim::Unroll u = core::paperUnroll(
+                kind, core::BankRole::ST, family, 1200);
+            for (const auto &job : sim::familyJobs(model, family)) {
+                if (!seen.insert(serve::contentKey(kind, u, job)).second)
+                    continue;
+                serve::Request req;
+                req.id = id++;
+                req.kind = kind;
+                req.unroll = u;
+                req.hasSpec = true;
+                req.spec = job;
+                reqs.push_back(req);
+            }
         }
     }
     return reqs;
@@ -369,7 +414,10 @@ TEST(FleetLive, ThreeShardsServeBitIdenticalAndReplicateRfTwo)
     ropt.topology.shards = shards.addresses();
     fleet::Router router(std::move(ropt));
 
-    const auto reqs = sampleWorkload();
+    // Both families: about a dozen keys, so a balanced ring (see
+    // SharesStayBalancedOnLoopbackPorts) spreads them all but surely.
+    const auto reqs =
+        sampleWorkload({sim::PhaseFamily::D, sim::PhaseFamily::G});
     std::vector<std::string> lines;
     for (const auto &req : reqs)
         lines.push_back(serve::encodeRequest(req));
