@@ -51,8 +51,7 @@ blockRow(float *__restrict acc, const float *__restrict k, float v, int n)
 class MacPath
 {
   public:
-    MacPath(MacFaultHook *hook, const CycleProjection &proj)
-        : hook_(hook), presented_(hook != nullptr)
+    MacPath(MacFaultHook *hook, const CycleProjection &proj) : hook_(hook)
     {
         if (hook_ == nullptr)
             return;
@@ -89,55 +88,51 @@ class MacPath
     /**
      * Open a step: `key` under the walk's projection and the `macs`
      * scheduled MACs of its cycles, effectual and ineffectual. True
-     * when the hook must see its rows, which then take the per-row
-     * test in row(). False without a hook, or when it settles: its MACs
-     * are tallied as quiet and it runs exactly as the unhooked walk
-     * would.
+     * when the hook must see its rows, which then go through row().
+     * False without a hook, or when it settles: its MACs are tallied
+     * as quiet and it runs exactly as the unhooked walk would.
      */
     bool
     cycle(u64 key, u64 macs)
     {
         if (!settles_)
-            return presented_;
+            return hook_ != nullptr;
         const u64 bit = key & kCycleMask;
-        presented_ = (cycleBits_[bit >> 6] >> (bit & 63) & 1) != 0;
-        if (!presented_)
-            quiet_ += macs;
-        return presented_;
+        if (cycleBits_[bit >> 6] >> (bit & 63) & 1)
+            return true;
+        quiet_ += macs;
+        return false;
     }
 
     /**
-     * One scheduled operand row on the register block: input `v` times
-     * the `of_cnt` weights `k` of output maps [ctx.of, ctx.of + of_cnt)
-     * on lanes ctx.lane + f, into the row's block entry `acc`. `useful`
-     * means the row multiplies on an unhooked walk. A row that is not
-     * `effectual` reaches the hook only in a presented step of a hook
-     * that visits ineffectual slots. A row the hook does not see (no
-     * hook, a settled step, or a row its filter marks quiet) is
-     * multiplied only when `useful`: an ineffectual one adds ±0 on
-     * finite operands, which never changes an accumulator that starts
-     * at +0. A row the hook sees gets the same (ctx, a, b) per MAC as
-     * on any other path.
+     * One scheduled operand row of a presented step on the register
+     * block: input `v` times the `of_cnt` weights `k` of output maps
+     * [ctx.of, ctx.of + of_cnt) on lanes ctx.lane + f, into the row's
+     * block entry `acc`. `useful` means the row multiplies on an
+     * unhooked walk. A row that is not `effectual` reaches the hook
+     * only when it visits ineffectual slots. A row its filter marks
+     * quiet is multiplied only when `useful`: an ineffectual one adds
+     * ±0 on finite operands, which never changes an accumulator that
+     * starts at +0. A row the hook sees gets the same (ctx, a, b) per
+     * MAC as on any other path.
      */
     void
     row(float *acc, const float *k, float v, bool effectual, bool useful,
         MacContext ctx, int of_cnt)
     {
-        if (presented_) {
-            if (!effectual && !ineffectual_)
-                return;
-            if (filter_.bits == nullptr ||
-                filter_.loud(ctx.c, ctx.oy, ctx.ox, ctx.ky, ctx.kx)) {
-                const int lane0 = ctx.lane, of0 = ctx.of;
-                for (int f = 0; f < of_cnt; ++f) {
-                    ctx.lane = lane0 + f;
-                    ctx.of = of0 + f;
-                    acc[f] += hook_->onMac(ctx, v, k[f]);
-                }
-                return;
+        if (!effectual && !ineffectual_)
+            return;
+        if (filter_.bits == nullptr ||
+            filter_.loud(ctx.c, ctx.oy, ctx.ox, ctx.ky, ctx.kx)) {
+            const int lane0 = ctx.lane, of0 = ctx.of;
+            for (int f = 0; f < of_cnt; ++f) {
+                ctx.lane = lane0 + f;
+                ctx.of = of0 + f;
+                acc[f] += hook_->onMac(ctx, v, k[f]);
             }
-            quiet_ += u64(of_cnt);
+            return;
         }
+        quiet_ += u64(of_cnt);
         if (useful)
             blockRow(acc, k, v, of_cnt);
     }
@@ -149,7 +144,6 @@ class MacPath
     MacFaultHook *hook_;
     bool ineffectual_ = false; ///< visit ineffectual slots
     bool settles_ = false;     ///< cycle() reads the cycle bitmap
-    bool presented_ = false;   ///< the open step goes row by row
     MacRowFilter filter_;      ///< bits null: present every MAC
     u64 quiet_ = 0;            ///< MACs of quiet rows and steps
     /** Bit key & kCycleMask set when a loud row projects there. */
@@ -170,13 +164,20 @@ struct Row
     bool useful;
 };
 
-/** One step of a pass: its rows and what each of its cycles counts. */
+/** A row of the compact multiply list: one in range and `useful`. */
+struct Mac
+{
+    std::uint32_t entry, wofs, inofs; ///< as in Row
+};
+
+/** One step of a pass: its rows, its run of the compact multiply list,
+ *  and what each of its cycles counts. */
 struct Step
 {
     std::uint32_t row0, row1;
     u64 key;               ///< projection key at input map 0
     std::uint32_t inWords; ///< input words per input map
-    bool live;             ///< some row multiplies on an unhooked walk
+    std::uint32_t mac0, mac1;
 };
 
 /** A point of the tiled or walked space: its two coordinates, its
@@ -205,7 +206,9 @@ class Walker
           // A step that fixes its output sums its rows into one partial
           // sum through the adder tree.
           oneOut_(d.walked == Space::Outputs || !d.tileOnLanes),
-          ofSpan_(std::min(d.pOf, s.nof)), proj_(cycleProjection(d, s)),
+          ofSpan_(std::min(d.pOf, s.nof)),
+          kC_(fourD_ ? 0 : std::size_t(ofSpan_)),
+          xC_(std::size_t(s.ih) * s.iw), proj_(cycleProjection(d, s)),
           path_(arch.faultHook(), proj_)
     {
         for (int iy = 0; iy < s.ih; ++iy)
@@ -221,6 +224,9 @@ class Walker
     void buildPass(int height, int width);
     void runPass(bool first, bool last);
     void runSteps(int c0, int c1, bool accumulating, bool drains);
+    void multiply(const Step &sp, int c0, int c1);
+    void present(const Step &sp, int c0, int c1);
+    template <bool Gate> void settle(const Step &sp, int c0, int c1);
     void record(const Step &sp, int c0, int c1, bool accumulating,
                 bool drains);
 
@@ -234,6 +240,10 @@ class Walker
     const int planes_, kMaps_, cLanes_, cLaneStride_;
     const bool oneOut_;
     const int ofSpan_;
+    /** Per input map: the staged weights' and the input's strides; and,
+     *  set per class, the block's. */
+    const std::size_t kC_, xC_;
+    std::size_t accC_ = 0;
     const CycleProjection proj_;
     MacPath path_;
     RunStats st_;
@@ -252,10 +262,14 @@ class Walker
     std::vector<float> wts_;
 
     // The open pass, members_ its tile: the first nSteps_ steps and
-    // nRows_ rows of the tables, and sums over its steps.
+    // nRows_ rows of the tables, and sums over its steps. A functional
+    // walk also lists the nBusy_ steps that have rows and each step's
+    // run of the compact multiply list.
     std::vector<Step> steps_;
     std::vector<Row> rows_;
-    std::size_t nSteps_ = 0, nRows_ = 0;
+    std::vector<std::uint32_t> busy_;
+    std::vector<Mac> macs_;
+    std::size_t nSteps_ = 0, nRows_ = 0, nBusy_ = 0;
     u64 effective_ = 0, outs_ = 0, inWords_ = 0;
 };
 
@@ -281,6 +295,7 @@ Walker::runClass(const ParityClass &cls)
 {
     cls_ = &cls;
     const int ny = cls.y.count, nx = cls.x.count;
+    accC_ = fourD_ ? std::size_t(ny) * nx * ofSpan_ : 0;
 
     // The class's points of a space, row-major; returns the columns.
     const auto points = [&](Space sp, std::vector<Point> &pts) {
@@ -400,7 +415,7 @@ Walker::buildPass(int height, int width)
     // Locals, so that the stores into the tables do not reload them.
     const bool tiles_outputs = d_.tiled == Space::Outputs;
     const bool inputs = d_.walked == Space::Inputs, skip = d_.skipZeros,
-               gate = d_.gateZeroValues;
+               gate = d_.gateZeroValues, functional = in_ != nullptr;
     const InputReuse reuse = d_.inputs;
     const int stride = s_.stride, pad = s_.pad, ih = s_.ih, iw = s_.iw,
               of_span = ofSpan_;
@@ -411,12 +426,19 @@ Walker::buildPass(int height, int width)
         steps_.resize(walked_.size());
     if (rows_.size() < walked_.size() * members_.size())
         rows_.resize(walked_.size() * members_.size());
+    if (functional) {
+        busy_.resize(std::max(busy_.size(), steps_.size()));
+        macs_.resize(std::max(macs_.size(), rows_.size()));
+    }
     Step *const steps = steps_.data();
     Row *const rows = rows_.data();
-    std::size_t n_steps = 0, n_rows = 0;
+    std::uint32_t *const busy = busy_.data();
+    Mac *const macs = macs_.data();
+    std::size_t n_steps = 0, n_rows = 0, n_busy = 0;
+    std::uint32_t n_macs = 0;
     u64 effective = 0, outs = 0, in_words = 0;
     for (const Point &b : walked_) {
-        Step sp{std::uint32_t(n_rows), 0, 0, 0, false};
+        Step sp{std::uint32_t(n_rows), 0, 0, 0, n_macs, 0};
         for (const Point &m : members_) {
             // The row's lattice point: the member's two coordinates and
             // the step's (for an input step, the output it reaches).
@@ -444,16 +466,19 @@ Walker::buildPass(int height, int width)
             if (skip && zero)
                 continue;
             const bool useful = gate ? !t.kzero : in_range & !zero;
-            rows[n_rows++] = {oy, ox, ky, kx, m.lane,
-                              std::uint32_t(out_idx * of_span),
-                              std::uint32_t(std::size_t(t.idx) * w_tap),
-                              in_range ? iy * iw + ix : -1, useful};
+            const Row r{oy, ox, ky, kx, m.lane,
+                        std::uint32_t(out_idx * of_span),
+                        std::uint32_t(std::size_t(t.idx) * w_tap),
+                        in_range ? iy * iw + ix : -1, useful};
+            rows[n_rows++] = r;
+            if (functional & in_range & useful)
+                macs[n_macs++] = {r.entry, r.wofs, std::uint32_t(r.inofs)};
             // Every row of a step has the step's key.
             sp.key = proj_.key(0, oy, ox, ky, kx);
             effective += in_range & !zero;
-            sp.live |= useful;
         }
         sp.row1 = std::uint32_t(n_rows);
+        sp.mac1 = n_macs;
         const int step_rows = int(sp.row1 - sp.row0);
         if (step_rows == 0 && !inputs)
             continue;
@@ -471,12 +496,15 @@ Walker::buildPass(int height, int width)
                                                     : height);
             break;
         }
+        if (functional && step_rows != 0)
+            busy[n_busy++] = std::uint32_t(n_steps);
         steps[n_steps++] = sp;
         outs += oneOut_ ? step_rows != 0 : step_rows;
         in_words += sp.inWords;
     }
     nSteps_ = n_steps;
     nRows_ = n_rows;
+    nBusy_ = n_busy;
     effective_ = effective;
     outs_ = outs;
     inWords_ = in_words;
@@ -535,48 +563,86 @@ Walker::runSteps(int c0, int c1, bool accumulating, bool drains)
         if (d_.psums == WindowKind::WriteThrough || accumulating)
             st_.outputReads += sums;
     }
-    if (rec_ == nullptr && in_ == nullptr)
+    if (rec_ == nullptr) {
+        if (in_ != nullptr)
+            for (const std::uint32_t i : std::span(busy_.data(), nBusy_))
+                multiply(steps_[i], c0, c1);
         return;
-
-    const bool gate = d_.gateZeroValues;
-    const std::size_t acc_c =
-        fourD_ ? std::size_t(cls_->y.count) * cls_->x.count * ofSpan_ : 0;
-    const std::size_t k_c = fourD_ ? 0 : std::size_t(ofSpan_);
-    const std::size_t x_c = std::size_t(s_.ih) * s_.iw;
-    const u64 key_c = u64(c0) * proj_.coef[0];
+    }
+    // The recorder's events and the MACs interleave step by step.
     for (const Step &sp : std::span(steps_.data(), nSteps_)) {
-        if (rec_)
-            record(sp, c0, c1, accumulating, drains);
-        const Row *const r0 = rows_.data() + sp.row0;
-        const Row *const r1 = rows_.data() + sp.row1;
+        record(sp, c0, c1, accumulating, drains);
+        if (in_ != nullptr && sp.row0 != sp.row1)
+            multiply(sp, c0, c1);
+    }
+}
+
+/** One step with rows on a functional walk, over input maps [c0, c1):
+ *  row by row if the hook sees it, else from its compact run. */
+void
+Walker::multiply(const Step &sp, int c0, int c1)
+{
+    const u64 macs = u64(sp.row1 - sp.row0) * u64(c1 - c0) * u64(ofCnt_);
+    if (path_.cycle(sp.key + u64(c0) * proj_.coef[0], macs))
+        present(sp, c0, c1);
+    else if (d_.gateZeroValues)
+        settle<true>(sp, c0, c1);
+    else
+        settle<false>(sp, c0, c1);
+}
+
+void
+Walker::present(const Step &sp, int c0, int c1)
+{
+    const bool gate = d_.gateZeroValues;
+    const Row *const r0 = rows_.data() + sp.row0;
+    const Row *const r1 = rows_.data() + sp.row1;
+    float *acc = block_.data() + std::size_t(c0) * accC_;
+    const float *k = wts_.data() + std::size_t(c0) * kC_;
+    const float *x = in_->data() + std::size_t(c0) * xC_;
+    for (int c = c0, li = 0; c < c1; ++c, acc += accC_, k += kC_, x += xC_) {
+        const int lane = li * cLaneStride_;
+        if (++li == cLanes_)
+            li = 0;
         // Ineffectual scheduled slots (padding, structural zeros) still
         // flow through the multipliers, so a hook that asks sees them;
         // their fault-free product is zero.
-        if (in_ == nullptr || r0 == r1 ||
-            (!path_.cycle(sp.key + key_c, u64(r1 - r0) * n_c * of_cnt) &&
-             !sp.live))
-            continue;
-        float *acc = block_.data() + std::size_t(c0) * acc_c;
-        const float *k = wts_.data() + std::size_t(c0) * k_c;
-        const float *x = in_->data() + std::size_t(c0) * x_c;
-        for (int c = c0, li = 0; c < c1;
-             ++c, acc += acc_c, k += k_c, x += x_c) {
-            const int lane = li * cLaneStride_;
-            if (++li == cLanes_)
-                li = 0;
-            for (const Row *r = r0; r != r1; ++r) {
-                const float v = r->inofs >= 0 ? x[r->inofs] : 0.0f;
-                // A gated array streams every non-zero input value, a
-                // structural-zero tap's too.
-                const bool effectual = gate ? v != 0.0f : r->useful;
-                path_.row(acc + r->entry, k + r->wofs, v, effectual,
-                          effectual && r->useful,
-                          MacContext{r->lane + lane, of0_, c, r->oy, r->ox,
-                                     r->ky, r->kx},
-                          ofCnt_);
-            }
+        for (const Row *r = r0; r != r1; ++r) {
+            const float v = r->inofs >= 0 ? x[r->inofs] : 0.0f;
+            // A gated array streams every non-zero input value, a
+            // structural-zero tap's too.
+            const bool effectual = gate ? v != 0.0f : r->useful;
+            path_.row(acc + r->entry, k + r->wofs, v, effectual,
+                      effectual && r->useful,
+                      MacContext{r->lane + lane, of0_, c, r->oy, r->ox, r->ky,
+                                 r->kx},
+                      ofCnt_);
         }
     }
+}
+
+/** A step the hook does not see: its compact run, multiplied as the
+ *  unhooked walk multiplies it. A gated array multiplies a row only
+ *  when its input value is non-zero. */
+template <bool Gate>
+void
+Walker::settle(const Step &sp, int c0, int c1)
+{
+    const Mac *const m0 = macs_.data() + sp.mac0;
+    const Mac *const m1 = macs_.data() + sp.mac1;
+    if (m0 == m1)
+        return;
+    const int of_cnt = ofCnt_;
+    const std::size_t acc_c = accC_, k_c = kC_, x_c = xC_;
+    float *acc = block_.data() + std::size_t(c0) * acc_c;
+    const float *k = wts_.data() + std::size_t(c0) * k_c;
+    const float *x = in_->data() + std::size_t(c0) * x_c;
+    for (int c = c0; c < c1; ++c, acc += acc_c, k += k_c, x += x_c)
+        for (const Mac *m = m0; m != m1; ++m) {
+            const float v = x[m->inofs];
+            if (!Gate || v != 0.0f)
+                blockRow(acc + m->entry, k + m->wofs, v, of_cnt);
+        }
 }
 
 void

@@ -17,6 +17,18 @@
  * maps sit on lanes. A row is a tile member at that step: one lattice
  * point (c, oy, ox, ky, kx) times the of-tile.
  *
+ * A pass's step and row tables hold every scheduled slot, in schedule
+ * order. A functional walk also lists the steps that have rows and,
+ * per step, a compact multiply list: the rows in range and useful,
+ * {block entry, weight offset, input offset} each, in schedule order.
+ * A step the fault hook is shown (presented) runs its full rows
+ * through the MAC path. Every other step, with no hook or settled by
+ * the hook's cycle bitmap, runs only its compact list; a gated array
+ * multiplies an entry there when its input value is non-zero. So
+ * steps without rows and rows that cannot multiply cost only their
+ * counts. With a schedule recorder every step is visited, its events
+ * interleaved with its MACs.
+ *
  * From the descriptor the walker derives what each walk would
  * otherwise write by hand: the cycle projection the fault path settles
  * cycles by, the register block, the staged weights, the per-axis zero

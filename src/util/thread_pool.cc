@@ -5,7 +5,10 @@
 
 #include "util/thread_pool.hh"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
+#include <string>
 
 #include "obs/metrics.hh"
 #include "util/logging.hh"
@@ -71,13 +74,22 @@ resolveJobs(int requested)
 {
     if (requested > 0)
         return requested;
-    if (const char *env = std::getenv("GANACC_JOBS")) {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
+    const char *env = std::getenv("GANACC_JOBS");
+    if (env == nullptr || *env == '\0')
+        return hardwareJobs();
+    // Digits only, so that strtoll cannot take a sign, blanks or a
+    // trailing suffix; range-checked before the narrowing to int.
+    const std::string text = env;
+    if (text.find_first_not_of("0123456789") == std::string::npos) {
+        errno = 0;
+        const long long v = std::strtoll(env, nullptr, 10);
+        if (errno != ERANGE && v >= 1 && v <= INT_MAX)
             return int(v);
     }
-    return hardwareJobs();
+    const int n = hardwareJobs();
+    warn("GANACC_JOBS must be an integer in [1, ", INT_MAX, "], got '",
+         text, "'; using ", n);
+    return n;
 }
 
 ThreadPool::ThreadPool(int jobs)

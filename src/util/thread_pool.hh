@@ -38,8 +38,9 @@ int hardwareJobs();
 
 /**
  * Resolve a worker count: `requested` if positive, else the
- * GANACC_JOBS environment variable if set and positive, else
- * hardwareJobs().
+ * GANACC_JOBS environment variable if set and a whole integer in
+ * [1, INT_MAX], else hardwareJobs(). A value set but out of range or
+ * malformed draws a warning.
  */
 int resolveJobs(int requested = 0);
 

@@ -272,6 +272,28 @@ TEST(ResolveJobs, EnvFallbackParsesGanaccJobs)
     ::unsetenv("GANACC_JOBS");
 }
 
+TEST(ResolveJobs, RejectsOutOfRangeEnv)
+{
+    // Values past INT_MAX used to wrap: 2^31 to INT_MIN, which a pool
+    // cannot reserve, and 2^32 + 1 to one worker. Only resolveJobs
+    // runs here; no pool is built from these values.
+    std::ostringstream warned;
+    std::ostream &prev = setWarnStream(warned);
+    for (const char *bad : {"2147483648", "4294967297", "-3", "4x", ""}) {
+        warned.str("");
+        ::setenv("GANACC_JOBS", bad, 1);
+        EXPECT_EQ(resolveJobs(0), hardwareJobs()) << "'" << bad << "'";
+        // An empty value is the variable unset, so it draws no warning.
+        EXPECT_EQ(warned.str().find("GANACC_JOBS") != std::string::npos,
+                  *bad != '\0')
+            << "'" << bad << "'";
+    }
+    ::setenv("GANACC_JOBS", "2147483647", 1);
+    EXPECT_EQ(resolveJobs(0), 2147483647);
+    ::unsetenv("GANACC_JOBS");
+    setWarnStream(prev);
+}
+
 TEST(Table, AlignsColumns)
 {
     Table t({"name", "value"});
