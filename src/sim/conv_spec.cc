@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "util/logging.hh"
 
@@ -31,6 +33,34 @@ axisIsZero(int c, int zero_stride, int orig)
     if (orig >= 0 && c / zero_stride >= orig)
         return true; // trailing output-padding rows
     return false;
+}
+
+/**
+ * Fill `t`, a run of height x width planes, with uniform [-1, 1) draws
+ * in row-major order over the slots `zero(y, x)` does not mark; those
+ * stay 0. Planes without zeros take one fill; a patterned plane is
+ * drawn into one plane of scratch and scattered.
+ */
+template <class Zero>
+void
+fillStreamed(Tensor &t, int height, int width, Zero zero, util::Rng &rng)
+{
+    const std::size_t plane = std::size_t(height) * std::size_t(width);
+    std::vector<std::uint32_t> live;
+    for (int y = 0; y < height; ++y)
+        for (int x = 0; x < width; ++x)
+            if (!zero(y, x))
+                live.push_back(std::uint32_t(y * width + x));
+    if (live.size() == plane) {
+        rng.fillUniformf(t.data(), t.numel(), -1.0f, 1.0f);
+        return;
+    }
+    std::vector<float> draws(live.size());
+    for (float *p = t.data(); p != t.data() + t.numel(); p += plane) {
+        rng.fillUniformf(draws.data(), draws.size(), -1.0f, 1.0f);
+        for (std::size_t i = 0; i < live.size(); ++i)
+            p[live[i]] = draws[i];
+    }
 }
 
 } // namespace
@@ -196,11 +226,8 @@ Tensor
 makeStreamedInput(const ConvSpec &spec, util::Rng &rng)
 {
     Tensor in(Shape4(1, spec.nif, spec.ih, spec.iw), 0.0f);
-    for (int c = 0; c < spec.nif; ++c)
-        for (int y = 0; y < spec.ih; ++y)
-            for (int x = 0; x < spec.iw; ++x)
-                if (!spec.inputIsZero(y, x))
-                    in.ref(0, c, y, x) = rng.uniformf(-1.0f, 1.0f);
+    fillStreamed(in, spec.ih, spec.iw,
+                 [&](int y, int x) { return spec.inputIsZero(y, x); }, rng);
     return in;
 }
 
@@ -209,12 +236,8 @@ makeStreamedKernel(const ConvSpec &spec, util::Rng &rng)
 {
     int kif = spec.fourDimOutput ? 1 : spec.nif;
     Tensor w(Shape4(spec.nof, kif, spec.kh, spec.kw), 0.0f);
-    for (int of = 0; of < spec.nof; ++of)
-        for (int c = 0; c < kif; ++c)
-            for (int ky = 0; ky < spec.kh; ++ky)
-                for (int kx = 0; kx < spec.kw; ++kx)
-                    if (!spec.kernelIsZero(ky, kx))
-                        w.ref(of, c, ky, kx) = rng.uniformf(-1.0f, 1.0f);
+    fillStreamed(w, spec.kh, spec.kw,
+                 [&](int y, int x) { return spec.kernelIsZero(y, x); }, rng);
     return w;
 }
 

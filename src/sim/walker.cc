@@ -6,6 +6,7 @@
 #include "sim/walker.hh"
 
 #include <algorithm>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -150,6 +151,32 @@ class MacPath
     u64 cycleBits_[(kCycleMask + 1) / 64] = {};
 };
 
+/**
+ * One axis of an input walk's tile: for each input coordinate i <
+ * extent, the members d * unit (d < count) whose tap coordinate
+ * tap(d * unit) carries i to an output coordinate o < out, i + pad =
+ * o * stride + tap, listed in order in list[first[i], first[i + 1]).
+ * The vectors keep their capacity from pass to pass.
+ */
+template <class Tap>
+void
+reachLists(std::vector<std::uint32_t> &first,
+           std::vector<std::uint32_t> &list, int extent, int count,
+           int unit, int out, int stride, int pad, Tap tap)
+{
+    first.clear();
+    list.clear();
+    for (int i = 0; i < extent; ++i) {
+        first.push_back(std::uint32_t(list.size()));
+        for (int d = 0; d < count; ++d) {
+            const int r = i - tap(d * unit) + pad;
+            if (r >= 0 && r % stride == 0 && r / stride < out)
+                list.push_back(std::uint32_t(d * unit));
+        }
+    }
+    first.push_back(std::uint32_t(list.size()));
+}
+
 /** One scheduled row of a pass, at input map 0. */
 struct Row
 {
@@ -269,6 +296,11 @@ class Walker
     std::vector<Row> rows_;
     std::vector<std::uint32_t> busy_;
     std::vector<Mac> macs_;
+    /** The members a step visits; on an input walk's pass, per input
+     *  row the offsets of the tile rows it reaches, and per input
+     *  column the tile columns (reachLists). */
+    std::vector<std::uint32_t> visit_, reachRow0_, reachRows_, reachCol0_,
+        reachCols_;
     std::size_t nSteps_ = 0, nRows_ = 0, nBusy_ = 0;
     u64 effective_ = 0, outs_ = 0, inWords_ = 0;
 };
@@ -437,9 +469,36 @@ Walker::buildPass(int height, int width)
     std::size_t n_steps = 0, n_rows = 0, n_busy = 0;
     std::uint32_t n_macs = 0;
     u64 effective = 0, outs = 0, in_words = 0;
+    // The members each step visits, by index, in tile order: an input
+    // step those it reaches, any other step every member.
+    visit_.resize(members_.size());
+    std::iota(visit_.begin(), visit_.end(), 0u);
+    std::uint32_t *const visit = visit_.data();
+    std::size_t n_visit = members_.size();
+    if (inputs) {
+        GANACC_ASSERT(!d_.flat, "an input walk tiles taps in rows and "
+                                "columns");
+        reachLists(reachRow0_, reachRows_, ih, height, width, s_.oh, stride,
+                   pad, [&](int i) { return members_[std::size_t(i)].y; });
+        reachLists(reachCol0_, reachCols_, iw, width, 1, s_.ow, stride,
+                   pad, [&](int i) { return members_[std::size_t(i)].x; });
+    }
+    const std::uint32_t *const row0 = reachRow0_.data();
+    const std::uint32_t *const col0 = reachCol0_.data();
+    const std::uint32_t *const tile_rows = reachRows_.data();
+    const std::uint32_t *const tile_cols = reachCols_.data();
     for (const Point &b : walked_) {
         Step sp{std::uint32_t(n_rows), 0, 0, 0, n_macs, 0};
-        for (const Point &m : members_) {
+        if (inputs) {
+            const std::uint32_t i1 = row0[b.y + 1], j0 = col0[b.x],
+                                j1 = col0[b.x + 1];
+            n_visit = 0;
+            for (std::uint32_t i = row0[b.y]; i < i1; ++i)
+                for (std::uint32_t j = j0; j < j1; ++j)
+                    visit[n_visit++] = tile_rows[i] + tile_cols[j];
+        }
+        for (const std::uint32_t k : std::span(visit, n_visit)) {
+            const Point &m = members_[k];
             // The row's lattice point: the member's two coordinates and
             // the step's (for an input step, the output it reaches).
             const Point &o = tiles_outputs ? m : b;
@@ -447,13 +506,9 @@ Walker::buildPass(int height, int width)
             const int ky = t.y, kx = t.x;
             int oy = o.y, ox = o.x, out_idx = o.idx;
             if (inputs) {
-                // The output the input reaches through the tap, if any.
-                const int ry = b.y - ky + pad, rx = b.x - kx + pad;
-                oy = ry / stride;
-                ox = rx / stride;
-                if (ry < 0 || rx < 0 || ry % stride || rx % stride ||
-                    oy >= s_.oh || ox >= s_.ow)
-                    continue;
+                // The output the input reaches through the tap.
+                oy = (b.y - ky + pad) / stride;
+                ox = (b.x - kx + pad) / stride;
                 out_idx = (oy - cls_->y.first) / cls_->step * cls_->x.count +
                           (ox - cls_->x.first) / cls_->step;
             }

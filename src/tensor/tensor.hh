@@ -93,8 +93,7 @@ class Tensor
     void
     fillUniform(util::Rng &rng, float lo = -1.0f, float hi = 1.0f)
     {
-        for (auto &v : data_)
-            v = rng.uniformf(lo, hi);
+        rng.fillUniformf(data_.data(), data_.size(), lo, hi);
     }
 
     /** Fill i.i.d. Gaussian from the given RNG. */
