@@ -10,33 +10,16 @@
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sim/closed_form.hh"
 
 namespace ganacc {
 namespace core {
 
 namespace {
 
-/** Cache-key engine tag. "*" marks kinds whose fast path is proven
- *  bit-identical to the cycle walk (all five dataflows, enforced by
- *  the differential-fuzz parity suite), so fast and walk runs share
- *  entries. A future kind without proven parity must return the
- *  active engine's name here to keep its results segregated. */
-std::string
-engineTag(ArchKind kind)
-{
-    switch (kind) {
-      case ArchKind::NLR:
-      case ArchKind::WST:
-      case ArchKind::OST:
-      case ArchKind::ZFOST:
-      case ArchKind::ZFWST:
-        return "*";
-    }
-    return sim::simEngineName(sim::simEngine());
-}
-
-/** Every field that shapes a timing-only run, label excluded. */
+/** Every field that shapes a timing-only run, label excluded. The
+ *  engine is not one of them: every kind's schedule model is its
+ *  descriptor's, bit-identical to the walk, so fast and walk runs
+ *  share entries. */
 std::string
 keyOf(ArchKind kind, const sim::Unroll &u, const sim::ConvSpec &s)
 {
@@ -47,8 +30,7 @@ keyOf(ArchKind kind, const sim::Unroll &u, const sim::ConvSpec &s)
        << ',' << s.kw << ',' << s.oh << ',' << s.ow << ',' << s.stride
        << ',' << s.pad << ',' << s.inZeroStride << ',' << s.inOrigH
        << ',' << s.inOrigW << ',' << s.kZeroStride << ',' << s.kOrigH
-       << ',' << s.kOrigW << ',' << int(s.fourDimOutput) << '|'
-       << engineTag(kind);
+       << ',' << s.kOrigW << ',' << int(s.fourDimOutput);
     return os.str();
 }
 
@@ -91,22 +73,9 @@ CycleCache::~CycleCache()
 CycleCache &
 CycleCache::instance()
 {
-    static CycleCache cache;
-    // Publish the cache's own atomics into the telemetry registry; a
-    // collector copies them at snapshot time, so lookups stay free of
-    // registry traffic. Registered once, on first use.
-    static const int collector = obs::Registry::instance().addCollector(
-        [](obs::Snapshot &snap) {
-            const CacheStats s = cache.cacheStats();
-            snap.counter("ganacc_cache_mem_hits_total", s.hits);
-            snap.counter("ganacc_cache_misses_total", s.misses);
-            snap.counter("ganacc_cache_disk_hits_total", s.diskHits);
-            snap.counter("ganacc_cache_simulated_total",
-                         s.simulated());
-            snap.gauge("ganacc_cache_entries",
-                       std::int64_t(s.entries));
-        });
-    (void)collector;
+    // Publishes its atomics like any publishing instance. The registry
+    // is leaked, so the destructor's unregistering at exit is safe.
+    static CycleCache cache(/*publishMetrics=*/true);
     return cache;
 }
 

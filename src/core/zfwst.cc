@@ -5,7 +5,6 @@
 
 #include "core/zfwst.hh"
 
-#include "sim/closed_form.hh"
 #include "sim/walker.hh"
 
 namespace ganacc {
@@ -28,14 +27,6 @@ Zfwst::dataflow(const sim::ConvSpec &, sim::Dataflow &d) const
                       .weights = sim::WeightReuse::Resident,
                       .inputs = sim::InputReuse::Shift,
                       .psums = sim::WindowKind::AccumBuffer};
-    return true;
-}
-
-bool
-Zfwst::scheduleModel(const sim::ConvSpec &spec,
-                     sim::ScheduleModel &model) const
-{
-    model = sim::zfwstModel(unroll_, spec);
     return true;
 }
 

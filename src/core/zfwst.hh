@@ -41,9 +41,6 @@ class Zfwst : public sim::Architecture
         return unroll_.pKx * unroll_.pKy * unroll_.pOf;
     }
 
-    bool scheduleModel(const sim::ConvSpec &spec,
-                       sim::ScheduleModel &model) const override;
-
     bool dataflow(const sim::ConvSpec &spec,
                   sim::Dataflow &d) const override;
 };

@@ -35,6 +35,16 @@ Architecture::doRun(const ConvSpec &spec, const tensor::Tensor *in,
     return walk(*this, d, spec, in, w, out);
 }
 
+bool
+Architecture::scheduleModel(const ConvSpec &spec, ScheduleModel &model) const
+{
+    Dataflow d;
+    if (!dataflow(spec, d))
+        return false;
+    model = sim::scheduleModel(d, spec, numPes());
+    return true;
+}
+
 RunStats
 Architecture::run(const ConvSpec &spec, const tensor::Tensor *in,
                   const tensor::Tensor *w, tensor::Tensor *out) const

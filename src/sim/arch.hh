@@ -104,28 +104,22 @@ class Architecture
     ScheduleRecorder *scheduleRecorder() const { return sched_rec_; }
 
     /**
-     * The symbolic schedule model (sim/closed_form.hh): fill `model`
-     * with what a walk of this job counts and observes, and return
-     * true — or return false when this architecture has none. run()
-     * answers timing-only, fault-free runs from `model.stats` when the
-     * process-wide engine allows it (simEngine() != Walk); verify
-     * derives its bounds and schedule relations from the same model.
-     * Overrides must stay bit-identical to the walk;
-     * tests/test_differential_fuzz.cc and
-     * tests/test_schedule_shadow.cc enforce the parity.
+     * The symbolic schedule model (sim/closed_form.hh) of this job:
+     * fill `model` with sim::scheduleModel() of the architecture's
+     * dataflow() and return true, or return false when it has no
+     * descriptor (CNV and RST walk only). run() answers timing-only,
+     * fault-free runs from `model.stats` when the process-wide engine
+     * allows it (simEngine() != Walk); verify derives its bounds and
+     * schedule relations from the same model.
      */
-    virtual bool
-    scheduleModel(const ConvSpec &, ScheduleModel &) const
-    {
-        return false;
-    }
+    bool scheduleModel(const ConvSpec &spec, ScheduleModel &model) const;
 
     /**
      * The Fig. 4 descriptor of this architecture on `spec`
      * (sim/walker.hh): fill `d` and return true when doRun() walks the
-     * job through sim::walk(), or return false when the architecture
-     * overrides doRun() with a walk of its own (the CNV and RST
-     * baselines).
+     * job through sim::walk() and scheduleModel() derives its model
+     * from `d`, or return false when the architecture overrides
+     * doRun() with a walk of its own (the CNV and RST baselines).
      */
     virtual bool
     dataflow(const ConvSpec &, Dataflow &) const

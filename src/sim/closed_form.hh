@@ -2,31 +2,33 @@
  * @file
  * The closed-form fast-path simulator engine.
  *
- * Every dataflow walk in this repository advances one cycle at a
- * time, even through long idle, drain and zero-skip stretches. But a
- * timing-only run is a pure function of (schedule, job geometry), and
- * each walk's counters are expressible as sums over *schedule
- * segments* — pass blocks, parity classes, kernel positions, resident
- * chunks — whose per-axis structure factorizes. The functions here
- * evaluate those sums directly: cost O(kernel area + parity classes)
- * per job instead of O(simulated cycles), which is what makes
- * LSUN-scale layers and 100x-larger DSE sweeps tractable.
+ * The one cycle walk, sim::walk(), visits each pass and step of a
+ * dataflow descriptor (sim/walker.hh), but it adds its counts once per
+ * pass, and a timing-only run is a pure function of (descriptor, job
+ * geometry). Summed over passes, those counts factorize into per-axis
+ * tallies of (tap, output) pairs and the two tile extents of each
+ * axis. scheduleModel() evaluates the sums directly: cost
+ * O(taps x outputs per axis) per job instead of O(simulated cycles),
+ * which is what makes LSUN-scale layers and 100x-larger DSE sweeps
+ * tractable.
  *
- * Each dataflow has exactly one such derivation, a ScheduleModel
- * function below, which walks the schedule's segments once and yields
- * both the RunStats totals (the fast path) and the per-cycle peaks and
- * accumulation windows verify/schedule_analysis proves hazards from.
+ * There is one derivation for every descriptor: the dataflow knobs
+ * that change the schedule are the descriptor's fields, so an
+ * architecture that states its Fig. 4 choice has its model too. It
+ * yields both the RunStats totals (the fast path) and the per-cycle
+ * peaks and accumulation windows verify/schedule_analysis proves
+ * hazards from.
  *
- * The cycle walks remain the golden reference. Each model is required
- * to match its walk *bit for bit*: tests/test_differential_fuzz.cc
- * enforces RunStats parity on a fuzzed corpus across all five
- * dataflows (plus the NLR-vanilla and ZFOST-raster ablations), and
+ * The walk remains the golden reference, and the model must match it
+ * *bit for bit*: tests/test_differential_fuzz.cc enforces RunStats
+ * parity on a fuzzed corpus across all five dataflows (plus the
+ * NLR-vanilla and ZFOST-raster ablations), and
  * tests/test_schedule_shadow.cc diffs the rest against a
  * recorder-armed walk.
  *
  * Engine selection: Architecture::run() consults simEngine() and uses
  * the fast path for timing-only, fault-free runs when the concrete
- * architecture provides a model (Architecture::scheduleModel).
+ * architecture has a descriptor (Architecture::scheduleModel).
  * Functional runs always walk — they produce real output data, which
  * no closed form can. Force the walk with GANACC_ENGINE=walk (or
  * `auto`, the default) or programmatically with setSimEngine().
@@ -38,9 +40,9 @@
 #include <optional>
 #include <string>
 
-#include "sim/arch.hh"
 #include "sim/conv_spec.hh"
 #include "sim/stats.hh"
+#include "sim/walker.hh"
 
 namespace ganacc {
 namespace sim {
@@ -89,9 +91,8 @@ class ScopedSimEngine
  * The symbolic model of one job's schedule: what a timing-only walk of
  * the job counts (RunStats) and what a recorder-armed walk observes
  * (per-cycle port and slot peaks, accumulation windows) — derived from
- * the loop nest without stepping a cycle. One derivation per dataflow
- * fills every field; the fast path reads `stats`, verify reads the
- * rest.
+ * the loop nest without stepping a cycle. scheduleModel() fills every
+ * field; the fast path reads `stats`, verify reads the rest.
  */
 struct ScheduleModel
 {
@@ -110,32 +111,13 @@ struct ScheduleModel
 };
 
 /**
- * The models, one per dataflow, parameterized by the design knobs
- * that change the schedule. Each must match its cycle walk exactly:
- * the parity and schedule-shadow suites keep "exactly" honest. All
- * panic on the same malformed-spec preconditions the walks assert.
+ * The model of a walk of `d` on `s` over `n_pes` PEs, equal to the
+ * walk's by contract: the parity and schedule-shadow suites keep
+ * "equal" honest. Panics on the malformed-spec preconditions the walk
+ * asserts, and on a descriptor outside the combinations it derives
+ * (see closed_form.cc); every architecture's descriptor is inside.
  */
-
-/** NLR; `zero_skip` selects the paper's improved dataflow (true) or
- *  the vanilla DianNao-style ablation that executes structural zeros
- *  as wasted cycles (false). */
-ScheduleModel nlrModel(const Unroll &u, const ConvSpec &s, bool zero_skip);
-
-/** WST: resident kernel tile, one streamed input position per cycle. */
-ScheduleModel wstModel(const Unroll &u, const ConvSpec &s);
-
-/** The output-stationary family: a pinned output tile per pass.
- *  `zero_free` adds ZFOST's parity classes and kernel-zero filtering
- *  (Fig. 12(b)); `reordered_feed` selects the parity-grouped weight
- *  feed (Fig. 12(a)) over raster order, which reloads the input tile
- *  every cycle on strided jobs. OST is (false, false), ZFOST (true,
- *  true) and the ZFOST-raster ablation (true, false). */
-ScheduleModel outputStationaryModel(const Unroll &u, const ConvSpec &s,
-                                    bool zero_free, bool reordered_feed);
-
-/** ZFWST: resident chunks of effective kernel elements, one output
- *  neuron per cycle through the adder tree. */
-ScheduleModel zfwstModel(const Unroll &u, const ConvSpec &s);
+ScheduleModel scheduleModel(const Dataflow &d, const ConvSpec &s, int n_pes);
 
 } // namespace sim
 } // namespace ganacc

@@ -5,7 +5,6 @@
 
 #include "sim/nlr.hh"
 
-#include "sim/closed_form.hh"
 #include "sim/walker.hh"
 
 namespace ganacc {
@@ -29,13 +28,6 @@ Nlr::dataflow(const ConvSpec &, Dataflow &d) const
                  .weights = WeightReuse::PerCycle,
                  .inputs = InputReuse::Broadcast,
                  .psums = WindowKind::WriteThrough};
-    return true;
-}
-
-bool
-Nlr::scheduleModel(const ConvSpec &spec, ScheduleModel &model) const
-{
-    model = nlrModel(unroll_, spec, policy_ == ZeroPolicy::Skip);
     return true;
 }
 

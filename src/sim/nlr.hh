@@ -47,9 +47,6 @@ class Nlr : public Architecture
         return unroll_.pIf * unroll_.pOf;
     }
 
-    bool scheduleModel(const ConvSpec &spec,
-                       ScheduleModel &model) const override;
-
     bool dataflow(const ConvSpec &spec, Dataflow &d) const override;
 
   private:

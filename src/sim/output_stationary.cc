@@ -5,7 +5,6 @@
 
 #include "sim/output_stationary.hh"
 
-#include "sim/closed_form.hh"
 #include "sim/walker.hh"
 
 namespace ganacc {
@@ -30,14 +29,6 @@ OutputStationary::dataflow(const ConvSpec &spec, Dataflow &d) const
                  .inputs = shifts ? InputReuse::Shift
                                   : InputReuse::Reload,
                  .psums = WindowKind::RegisterTile};
-    return true;
-}
-
-bool
-OutputStationary::scheduleModel(const ConvSpec &spec,
-                                ScheduleModel &model) const
-{
-    model = outputStationaryModel(unroll_, spec, zero_free_, reordered_feed_);
     return true;
 }
 

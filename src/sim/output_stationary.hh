@@ -45,9 +45,6 @@ class OutputStationary : public Architecture
         return unroll_.pOx * unroll_.pOy * unroll_.pOf;
     }
 
-    bool scheduleModel(const ConvSpec &spec,
-                       ScheduleModel &model) const override;
-
     bool dataflow(const ConvSpec &spec, Dataflow &d) const override;
 
   protected:

@@ -5,7 +5,6 @@
 
 #include "sim/wst.hh"
 
-#include "sim/closed_form.hh"
 #include "sim/walker.hh"
 
 namespace ganacc {
@@ -25,13 +24,6 @@ Wst::dataflow(const ConvSpec &, Dataflow &d) const
                  .weights = WeightReuse::Resident,
                  .inputs = InputReuse::Broadcast,
                  .psums = WindowKind::WriteThrough};
-    return true;
-}
-
-bool
-Wst::scheduleModel(const ConvSpec &spec, ScheduleModel &model) const
-{
-    model = wstModel(unroll_, spec);
     return true;
 }
 

@@ -35,9 +35,6 @@ class Wst : public Architecture
         return unroll_.pKx * unroll_.pKy * unroll_.pOf;
     }
 
-    bool scheduleModel(const ConvSpec &spec,
-                       ScheduleModel &model) const override;
-
     bool dataflow(const ConvSpec &spec, Dataflow &d) const override;
 };
 

@@ -1,11 +1,11 @@
 /**
  * @file
- * The MT19937-64 block twist and the float draws.
+ * The MT19937-64 block twist and Rng's draws.
  *
- * The float draws are defined here, in library code built with
- * -ffp-contract=off, so `canonical * (hi - lo) + lo` rounds twice in
- * every build, as std::uniform_real_distribution<float> does on the
- * default target.
+ * The draws are defined here, in library code built with
+ * -ffp-contract=off, so `canonical * (hi - lo) + lo` and the normal
+ * distribution's `x * stddev + mean` round twice in every build, as
+ * the standard distributions do on the default target.
  */
 
 #include "util/random.hh"
@@ -64,6 +64,34 @@ canonicalFloat(std::uint64_t u)
     const float f = static_cast<float>(h) * static_cast<float>(1 + b) *
                     0x1p-64f;
     return f >= 1.0f ? 0x1.fffffep-1f : f;
+}
+
+double
+Rng::uniform(double lo, double hi)
+{
+    std::uniform_real_distribution<double> dist(lo, hi);
+    return dist(engine_);
+}
+
+double
+Rng::gaussian(double mean, double stddev)
+{
+    std::normal_distribution<double> dist(mean, stddev);
+    return dist(engine_);
+}
+
+int
+Rng::uniformInt(int lo, int hi)
+{
+    std::uniform_int_distribution<int> dist(lo, hi);
+    return dist(engine_);
+}
+
+bool
+Rng::bernoulli(double p)
+{
+    std::bernoulli_distribution dist(p);
+    return dist(engine_);
 }
 
 float

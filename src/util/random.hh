@@ -14,6 +14,11 @@
  * standard distributions take any URBG, so uniform(), gaussian(),
  * uniformInt(), bernoulli() and engine() users draw exactly as they
  * did on the standard engine.
+ *
+ * Rng's draws are defined out of line in random.cc, which is built
+ * without FP contraction, so a caller built with other flags cannot
+ * link a contracted copy of one: the bits of every draw are those of
+ * the default build.
  */
 
 #ifndef GANACC_UTIL_RANDOM_HH
@@ -95,12 +100,7 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x5eedULL) : engine_(seed) {}
 
     /** Uniform real in [lo, hi). */
-    double
-    uniform(double lo = 0.0, double hi = 1.0)
-    {
-        std::uniform_real_distribution<double> dist(lo, hi);
-        return dist(engine_);
-    }
+    double uniform(double lo = 0.0, double hi = 1.0);
 
     /** Uniform float in [lo, hi): std::uniform_real_distribution<float>'s
      *  draw. */
@@ -110,28 +110,13 @@ class Rng
     void fillUniformf(float *out, std::size_t n, float lo, float hi);
 
     /** Gaussian with the given mean and standard deviation. */
-    double
-    gaussian(double mean = 0.0, double stddev = 1.0)
-    {
-        std::normal_distribution<double> dist(mean, stddev);
-        return dist(engine_);
-    }
+    double gaussian(double mean = 0.0, double stddev = 1.0);
 
     /** Uniform integer in [lo, hi] inclusive. */
-    int
-    uniformInt(int lo, int hi)
-    {
-        std::uniform_int_distribution<int> dist(lo, hi);
-        return dist(engine_);
-    }
+    int uniformInt(int lo, int hi);
 
     /** Bernoulli draw with probability p of true. */
-    bool
-    bernoulli(double p)
-    {
-        std::bernoulli_distribution dist(p);
-        return dist(engine_);
-    }
+    bool bernoulli(double p);
 
     Mt19937_64 &engine() { return engine_; }
 

@@ -3,8 +3,9 @@
  * The fuzz-corpus generator shared by the dataflow differential suites:
  * random legal ConvSpecs over the three GAN convolution patterns
  * (dense strided S-CONV, zero-stuffed T-CONV, dilated-kernel W-CONV
- * with four-dimensional output). The draw sequence is part of every
- * pinned corpus built on it, so changing it moves those corpora.
+ * with four-dimensional output), and jobs whose two axes differ. The
+ * draw sequence is part of every pinned corpus built on it, so
+ * changing it moves those corpora.
  */
 
 #ifndef GANACC_TESTS_FUZZ_SPECS_HH
@@ -15,6 +16,7 @@
 #include "sim/conv_spec.hh"
 #include "tensor/tensor.hh"
 #include "util/random.hh"
+#include "verify/legality.hh"
 
 namespace ganacc {
 namespace tests {
@@ -66,6 +68,57 @@ randomSpec(util::Rng &rng)
     if (s.oh < 1 || s.ow < 1)
         return randomSpec(rng);
     return s;
+}
+
+/**
+ * Draw one job whose axes differ: input, kernel and output extents
+ * and the dense extents under each zero pattern are drawn per axis,
+ * the kernel zero stride is up to 3, and the output is four-
+ * dimensional or not. Redraws until the job is not square and passes
+ * verify::checkConvSpec.
+ */
+inline sim::ConvSpec
+randomNonSquareSpec(util::Rng &rng)
+{
+    for (;;) {
+        sim::ConvSpec s;
+        s.label = "fuzz-axes";
+        s.nif = rng.uniformInt(1, 4);
+        s.nof = rng.uniformInt(1, 4);
+        s.fourDimOutput = rng.uniformInt(0, 1) == 1;
+        s.inZeroStride = rng.uniformInt(1, 3);
+        s.kZeroStride = rng.uniformInt(1, 3);
+        s.stride = s.inZeroStride > 1 ? 1 : rng.uniformInt(1, 3);
+        // One axis: the streamed extent over `z`-stuffed dense points
+        // (`orig` of them, -1 when z is 1), `dense` drawn otherwise.
+        const auto axis = [&](int z, int lo, int hi, int &orig) {
+            if (z == 1) {
+                orig = -1;
+                return rng.uniformInt(lo, hi);
+            }
+            orig = rng.uniformInt(1, 5);
+            return (orig - 1) * z + 1 + rng.uniformInt(0, z - 1);
+        };
+        s.ih = axis(s.inZeroStride, 3, 14, s.inOrigH);
+        s.iw = axis(s.inZeroStride, 3, 14, s.inOrigW);
+        s.kh = axis(s.kZeroStride, 1, 6, s.kOrigH);
+        s.kw = axis(s.kZeroStride, 1, 6, s.kOrigW);
+        s.pad = rng.uniformInt(0, std::min(s.kh, s.kw) - 1);
+        if (s.ih + 2 * s.pad < s.kh || s.iw + 2 * s.pad < s.kw)
+            continue; // kernel overhangs the padded input
+        s.oh = tensor::convOutDim(s.ih, s.kh, s.stride, s.pad);
+        s.ow = tensor::convOutDim(s.iw, s.kw, s.stride, s.pad);
+        if (s.fourDimOutput) { // W-CONV crops its outputs
+            s.oh = std::min(s.oh, rng.uniformInt(1, 6));
+            s.ow = std::min(s.ow, rng.uniformInt(1, 6));
+        }
+        if (s.ih == s.iw && s.kh == s.kw && s.oh == s.ow)
+            continue;
+        verify::Report report;
+        verify::checkConvSpec(s, report);
+        if (report.ok())
+            return s;
+    }
 }
 
 } // namespace tests

@@ -132,11 +132,15 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DifferentialFuzz,
  * checker never covered.
  */
 
-/** Like randomSpec, but biased toward zero-insert-heavy T-CONV. */
+/** Like randomSpec, but biased toward zero-insert-heavy T-CONV, with
+ *  one draw in four a job whose axes differ. */
 ConvSpec
 randomParitySpec(Rng &rng)
 {
-    if (rng.uniformInt(0, 2) != 0) // 2/3 zero-insert-heavy T-CONV
+    const int kind = rng.uniformInt(0, 3);
+    if (kind == 3)
+        return tests::randomNonSquareSpec(rng);
+    if (kind != 0) // 1/2 zero-insert-heavy T-CONV
     {
         ConvSpec s;
         s.label = "fuzz-heavy";

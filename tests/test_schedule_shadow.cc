@@ -22,6 +22,7 @@
 #include "core/unrolling.hh"
 #include "core/zfost.hh"
 #include "core/zfwst.hh"
+#include "fuzz_specs.hh"
 #include "gan/models.hh"
 #include "mem/offchip.hh"
 #include "sim/arch.hh"
@@ -48,7 +49,8 @@ using util::Rng;
 using verify::ScheduleRelation;
 
 /** Draw one random job over the three GAN convolution patterns (same
- *  distribution as the functional differential fuzz). */
+ *  distribution as the functional differential fuzz), head-layer
+ *  T-CONVs and jobs whose axes differ. */
 ConvSpec
 randomSpec(Rng &rng)
 {
@@ -56,7 +58,9 @@ randomSpec(Rng &rng)
     s.label = "fuzz";
     s.nif = rng.uniformInt(1, 4);
     s.nof = rng.uniformInt(1, 4);
-    const int kind = rng.uniformInt(0, 3);
+    const int kind = rng.uniformInt(0, 4);
+    if (kind == 4) // axes that differ
+        return tests::randomNonSquareSpec(rng);
     if (kind == 3) { // head-layer T-CONV: 1x1 map, single-cycle passes
         s.nif = 1;
         s.nof = rng.uniformInt(2, 8);
@@ -370,6 +374,29 @@ TEST(ScheduleShadow, SingleCyclePassCoalescesWeightLoads)
     auto zarch = core::makeArch(ArchKind::ZFWST, uw);
     EXPECT_EQ(verify::staticScheduleRelation(ArchKind::ZFWST, uw, g),
               verify::recordedScheduleRelation(*zarch, g));
+
+    // One chunk, one of-tile and one output in the first parity class
+    // of a cropped W-CONV on a stuffed input: the second pass is the
+    // next class's, so its 2x1 taps join the first class's 2x2.
+    ConvSpec c;
+    c.label = "class-wconv";
+    c.nif = 1;
+    c.nof = 2;
+    c.ih = 3;
+    c.iw = 5;
+    c.inZeroStride = 2;
+    c.inOrigH = 2;
+    c.inOrigW = 3;
+    c.kh = c.kw = 3;
+    c.stride = 1;
+    c.pad = 2;
+    c.fourDimOutput = true;
+    c.oh = c.ow = 2;
+    const Unroll uc{.pOf = 2, .pKx = 3, .pKy = 3};
+    auto carch = core::makeArch(ArchKind::ZFWST, uc);
+    const ScheduleRelation crec = verify::recordedScheduleRelation(*carch, c);
+    EXPECT_EQ(crec.peakWeightLoads, (4u + 2u) * 2u);
+    EXPECT_EQ(verify::staticScheduleRelation(ArchKind::ZFWST, uc, c), crec);
 }
 
 /** Negative path: a one-word port budget must trip GA-SCHED-PORT on

@@ -96,6 +96,29 @@ TEST(Rng, GaussianMomentsRoughlyCorrect)
     EXPECT_NEAR(var, 9.0, 0.5);
 }
 
+/** Each draw's first values, captured from the default build. A
+ *  caller built with FP contraction (-march=x86-64-v3
+ *  -ffp-contract=fast) must see the same bits: the uniform range and
+ *  the normal's `x * stddev + mean` would each round once as an FMA. */
+TEST(Rng, FirstDrawsArePinned)
+{
+    Rng rng(2);
+    const double uniform[] = {0x1.643b7fc3519e8p+0, 0x1.3883712abcbd8p+0,
+                              0x1.021b10cf7b10ap+0, 0x1.76050f8af5f3ep+0};
+    for (const double want : uniform)
+        EXPECT_EQ(rng.uniform(-1.5, 1.7), want);
+    const double gaussian[] = {-0x1.4641b93a086afp+0, -0x1.56355460ff2ecp-2,
+                               0x1.2c24ca61e9a13p+0, -0x1.09ed1fdae9864p-1};
+    for (const double want : gaussian)
+        EXPECT_EQ(rng.gaussian(0.5, 3.0), want);
+    for (const int want : {195, 61, 999})
+        EXPECT_EQ(rng.uniformInt(-7, 1000), want);
+    unsigned heads = 0;
+    for (int i = 0; i < 16; ++i)
+        heads |= unsigned(rng.bernoulli(0.3)) << i;
+    EXPECT_EQ(heads, 0x1418u);
+}
+
 TEST(Fixed16, RoundTripSmallValues)
 {
     for (double v : {0.0, 1.0, -1.0, 0.5, -0.25, 3.125, -7.875}) {
