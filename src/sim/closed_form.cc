@@ -65,9 +65,10 @@ jobCells(const ConvSpec &s)
 /** The (tap, output) pairs of one class axis. A pair is in bounds
  *  when its input coordinate is, kept when its tap is not a structural
  *  kernel zero, and good when kept, in bounds and its input is not a
- *  structural zero. `fanout` is the most taps of one tile (runs of
- *  `tile` in the tap list; 0: not asked) that reach one input
- *  coordinate. */
+ *  structural zero. The in-bounds counts are taken only when `bounds`
+ *  asks (an input or skipping walk reads them). `fanout` is the most
+ *  taps of one tile (runs of `tile` in the tap list; 0: not asked)
+ *  that reach one input coordinate; asking for it needs `bounds`. */
 struct AxisPairs
 {
     u64 all = 0, in = 0, kept = 0, keptIn = 0, good = 0, fanout = 0;
@@ -75,7 +76,7 @@ struct AxisPairs
 
 AxisPairs
 axisPairs(const ConvSpec &s, const ClassAxis &a, int step, bool row,
-          int tile)
+          bool bounds, int tile)
 {
     const int in_extent = row ? s.ih : s.iw;
     const int in_step = step * s.stride;
@@ -86,6 +87,16 @@ axisPairs(const ConvSpec &s, const ClassAxis &a, int step, bool row,
         const int k = a.taps[j];
         // The input coordinate of the class's first output at this tap.
         const int i0 = a.first * s.stride + k - s.pad;
+        const bool kept = !(row ? s.kernelRowZero(k) : s.kernelColZero(k));
+        p.all += n;
+        if (kept) {
+            p.kept += n;
+            p.good += u64(countNonzeroCoords(0, a.count, in_step, i0, 0,
+                                             in_extent, s.inZeroStride,
+                                             row ? s.inOrigH : s.inOrigW));
+        }
+        if (!bounds)
+            continue;
         // Outputs t < count with 0 <= i0 + t * in_step < in_extent.
         const int t0 = i0 >= 0 ? 0 : (in_step - 1 - i0) / in_step;
         const int t1 =
@@ -93,15 +104,9 @@ axisPairs(const ConvSpec &s, const ClassAxis &a, int step, bool row,
                 ? std::min(a.count, (in_extent - 1 - i0) / in_step + 1)
                 : 0;
         const u64 in = u64(std::max(0, t1 - t0));
-        p.all += n;
         p.in += in;
-        if (!(row ? s.kernelRowZero(k) : s.kernelColZero(k))) {
-            p.kept += n;
+        if (kept)
             p.keptIn += in;
-            p.good += u64(countNonzeroCoords(0, a.count, in_step, i0, 0,
-                                             in_extent, s.inZeroStride,
-                                             row ? s.inOrigH : s.inOrigW));
-        }
         if (tile == 0)
             continue;
         if (j % std::size_t(tile) == 0)
@@ -222,6 +227,8 @@ scheduleModel(const Dataflow &d, const ConvSpec &s, int n_pes)
     u64 first_load = 0, first_cycles = 0, second_load = 0;
     // Classes are row-major over their offsets, and a class axis is a
     // function of its offset: a row of classes shares its row axis.
+    // Only input and skipping walks read the in-bounds counts.
+    const bool bounds = inputs || d.skipZeros;
     AxisPairs py;
     int py_first = -1;
     for (const ParityClass &cls : parityClasses(s, d.zeroFree)) {
@@ -230,10 +237,11 @@ scheduleModel(const Dataflow &d, const ConvSpec &s, int n_pes)
         const u64 taps_y = cls.y.taps.size(), taps_x = cls.x.taps.size();
         const u64 outs_y = u64(cls.y.count), outs_x = u64(cls.x.count);
         if (cls.y.first != py_first) {
-            py = axisPairs(s, cls.y, cls.step, true, inputs ? d.tileY : 0);
+            py = axisPairs(s, cls.y, cls.step, true, bounds,
+                           inputs ? d.tileY : 0);
             py_first = cls.y.first;
         }
-        const AxisPairs px = axisPairs(s, cls.x, cls.step, false,
+        const AxisPairs px = axisPairs(s, cls.x, cls.step, false, bounds,
                                        inputs ? d.tileX : 0);
 
         // The tiled space: rows x cols points in tiles of tile_y x
