@@ -12,6 +12,7 @@
 #include "core/zfwst.hh"
 #include "sim/nlr.hh"
 #include "sim/output_stationary.hh"
+#include "sim/walker.hh"
 #include "sim/wst.hh"
 #include "util/logging.hh"
 
@@ -79,27 +80,6 @@ makeArch(ArchKind kind, Unroll unroll)
     util::panic("unknown arch kind");
 }
 
-namespace {
-
-/** Per-channel PE count of an unrolling shape for a given kind. */
-int
-shapePes(ArchKind kind, const Unroll &u)
-{
-    switch (kind) {
-      case ArchKind::NLR:
-        return u.pIf;
-      case ArchKind::WST:
-      case ArchKind::ZFWST:
-        return u.pKx * u.pKy;
-      case ArchKind::OST:
-      case ArchKind::ZFOST:
-        return u.pOx * u.pOy;
-    }
-    util::panic("unknown arch kind");
-}
-
-} // namespace
-
 Unroll
 paperUnroll(ArchKind kind, BankRole role, PhaseFamily family,
             int pe_budget)
@@ -147,8 +127,8 @@ paperUnroll(ArchKind kind, BankRole role, PhaseFamily family,
         }
         break;
     }
-    int per_channel = shapePes(kind, u);
-    u.pOf = std::max(1, pe_budget / per_channel);
+    // At P_of = 1 the PE count is the per-channel count.
+    u.pOf = std::max(1, pe_budget / makeArch(kind, u)->numPes());
     return u;
 }
 
@@ -159,41 +139,35 @@ solveUnrolling(ArchKind kind, int pe_budget,
     GANACC_ASSERT(!jobs.empty(), "solver needs at least one probe job");
     std::vector<Unroll> candidates;
     auto add = [&](Unroll u) {
-        int per_channel = shapePes(kind, u);
+        int per_channel = makeArch(kind, u)->numPes(); // at P_of = 1
         if (per_channel > pe_budget)
             return;
         u.pOf = std::max(1, pe_budget / per_channel);
         candidates.push_back(u);
     };
 
-    switch (kind) {
-      case ArchKind::NLR:
+    // The per-channel factors the dataflow reads: P_if alone, or a
+    // tile's P_kx, P_ky or P_ox, P_oy (rows in the outer loop).
+    sim::Dataflow d;
+    makeArch(kind, Unroll{})->dataflow(d);
+    std::vector<int Unroll::*> lanes;
+    for (const sim::UnrollFactor &f : sim::unrollFactors(d))
+        if (f.read && f.member != &Unroll::pOf)
+            lanes.push_back(f.member);
+    if (lanes.size() == 1) {
         for (int p : {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}) {
             Unroll u;
-            u.pIf = p;
+            u.*lanes[0] = p;
             add(u);
         }
-        break;
-      case ArchKind::WST:
-      case ArchKind::ZFWST:
-        for (int ky = 1; ky <= max_side; ++ky)
-            for (int kx = 1; kx <= max_side; ++kx) {
+    } else {
+        for (int y = 1; y <= max_side; ++y)
+            for (int x = 1; x <= max_side; ++x) {
                 Unroll u;
-                u.pKy = ky;
-                u.pKx = kx;
+                u.*lanes[1] = y;
+                u.*lanes[0] = x;
                 add(u);
             }
-        break;
-      case ArchKind::OST:
-      case ArchKind::ZFOST:
-        for (int oy = 1; oy <= max_side; ++oy)
-            for (int ox = 1; ox <= max_side; ++ox) {
-                Unroll u;
-                u.pOy = oy;
-                u.pOx = ox;
-                add(u);
-            }
-        break;
     }
 
     UnrollChoice best;

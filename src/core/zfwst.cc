@@ -11,7 +11,7 @@ namespace ganacc {
 namespace core {
 
 bool
-Zfwst::dataflow(const sim::ConvSpec &, sim::Dataflow &d) const
+Zfwst::dataflow(sim::Dataflow &d) const
 {
     // Per parity class, its effective taps resident in runs of
     // pKy * pKx; each cycle one output neuron per channel through the

@@ -35,14 +35,7 @@ class Zfwst : public sim::Architecture
     explicit Zfwst(sim::Unroll unroll)
         : sim::Architecture("ZFWST", unroll) {}
 
-    int
-    numPes() const override
-    {
-        return unroll_.pKx * unroll_.pKy * unroll_.pOf;
-    }
-
-    bool dataflow(const sim::ConvSpec &spec,
-                  sim::Dataflow &d) const override;
+    bool dataflow(sim::Dataflow &d) const override;
 };
 
 } // namespace core

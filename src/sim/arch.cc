@@ -25,12 +25,34 @@ Unroll::str() const
     return os.str();
 }
 
+std::array<UnrollFactor, 6>
+unrollFactors(const Dataflow &d)
+{
+    const bool taps = d.tileOnLanes && d.tiled == Space::Taps;
+    const bool outs = d.tileOnLanes && d.tiled == Space::Outputs;
+    return {{{"P_if", &Unroll::pIf, d.cLanes != 0},
+             {"P_kx", &Unroll::pKx, taps},
+             {"P_ky", &Unroll::pKy, taps},
+             {"P_ox", &Unroll::pOx, outs},
+             {"P_oy", &Unroll::pOy, outs},
+             {"P_of", &Unroll::pOf, true}}};
+}
+
+int
+Architecture::numPes() const
+{
+    Dataflow d;
+    GANACC_ASSERT(dataflow(d), name_,
+                  " has neither a dataflow nor a PE count of its own");
+    return d.pes();
+}
+
 RunStats
 Architecture::doRun(const ConvSpec &spec, const tensor::Tensor *in,
                     const tensor::Tensor *w, tensor::Tensor *out) const
 {
     Dataflow d;
-    GANACC_ASSERT(dataflow(spec, d), name_,
+    GANACC_ASSERT(dataflow(d), name_,
                   " has neither a dataflow nor a walk of its own");
     return walk(*this, d, spec, in, w, out);
 }
@@ -39,9 +61,9 @@ bool
 Architecture::scheduleModel(const ConvSpec &spec, ScheduleModel &model) const
 {
     Dataflow d;
-    if (!dataflow(spec, d))
+    if (!dataflow(d))
         return false;
-    model = sim::scheduleModel(d, spec, numPes());
+    model = sim::scheduleModel(d, spec);
     return true;
 }
 
@@ -69,6 +91,7 @@ Architecture::run(const ConvSpec &spec, const tensor::Tensor *in,
     // the differential-fuzz parity suite keeps the contract honest).
     // Functional runs always walk — they produce real output data —
     // and so do recorded runs: a closed form has no cycles to narrate.
+    const int n_pes = numPes();
     RunStats stats;
     bool fast = false;
     if (!functional && fastPathEnabled() && scheduleRecorder() == nullptr) {
@@ -79,14 +102,14 @@ Architecture::run(const ConvSpec &spec, const tensor::Tensor *in,
     }
     if (!fast) {
         if (ScheduleRecorder *rec = scheduleRecorder()) {
-            rec->onJobBegin(numPes(), spec);
+            rec->onJobBegin(n_pes, spec);
             stats = doRun(spec, in, w, out);
             rec->onJobEnd();
         } else {
             stats = doRun(spec, in, w, out);
         }
     }
-    stats.nPes = std::uint64_t(numPes());
+    stats.nPes = std::uint64_t(n_pes);
     // Conservation: every PE slot of every cycle is classified exactly
     // once as effective, ineffectual or idle.
     GANACC_ASSERT(stats.effectiveMacs + stats.ineffectualMacs +

@@ -16,6 +16,7 @@
 #ifndef GANACC_SIM_ARCH_HH
 #define GANACC_SIM_ARCH_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -33,7 +34,8 @@ struct ScheduleModel; // sim/closed_form.hh
 
 /**
  * Loop-unrolling factors (Table II notation). Each architecture reads
- * the fields relevant to its dataflow and ignores the rest.
+ * the fields relevant to its dataflow (unrollFactors()) and ignores
+ * the rest.
  */
 struct Unroll
 {
@@ -47,6 +49,23 @@ struct Unroll
     std::string str() const;
 };
 
+/** One Table II unroll factor: its name, its Unroll member, and
+ *  whether a dataflow reads it. */
+struct UnrollFactor
+{
+    const char *name;
+    int Unroll::*member;
+    bool read;
+};
+
+/**
+ * The six unroll factors in report order (P_if, P_kx, P_ky, P_ox,
+ * P_oy, P_of), each marked with whether `d` reads it: P_if when the
+ * input maps sit on lanes, P_kx and P_ky when a pass tiles taps,
+ * P_ox and P_oy when it tiles outputs on lanes, and always P_of.
+ */
+std::array<UnrollFactor, 6> unrollFactors(const Dataflow &d);
+
 /** A PE-array microarchitecture executing ConvSpec jobs. */
 class Architecture
 {
@@ -58,8 +77,10 @@ class Architecture
     const std::string &name() const { return name_; }
     const Unroll &unroll() const { return unroll_; }
 
-    /** Number of PEs in the array. */
-    virtual int numPes() const = 0;
+    /** Number of PEs in the array: by default the PE count of the
+     *  dataflow() descriptor (Dataflow::pes()); the CNV and RST
+     *  baselines, which have none, count their own. */
+    virtual int numPes() const;
 
     /**
      * Execute one job.
@@ -115,14 +136,15 @@ class Architecture
     bool scheduleModel(const ConvSpec &spec, ScheduleModel &model) const;
 
     /**
-     * The Fig. 4 descriptor of this architecture on `spec`
-     * (sim/walker.hh): fill `d` and return true when doRun() walks the
-     * job through sim::walk() and scheduleModel() derives its model
-     * from `d`, or return false when the architecture overrides
-     * doRun() with a walk of its own (the CNV and RST baselines).
+     * The Fig. 4 descriptor of this architecture (sim/walker.hh), the
+     * same for every job: fill `d` and return true when doRun() walks
+     * each job through sim::walk(), scheduleModel() derives its model
+     * from `d`, and numPes() and the verifier's unroll checks read it,
+     * or return false when the architecture overrides doRun() and
+     * numPes() with a walk of its own (the CNV and RST baselines).
      */
     virtual bool
-    dataflow(const ConvSpec &, Dataflow &) const
+    dataflow(Dataflow &) const
     {
         return false;
     }

@@ -185,9 +185,10 @@ fastPathEnabled()
  * on that port.
  */
 ScheduleModel
-scheduleModel(const Dataflow &d, const ConvSpec &s, int n_pes)
+scheduleModel(const Dataflow &d, const ConvSpec &s)
 {
     const bool inputs = d.walked == Space::Inputs;
+    const InputReuse reuse = inputReuse(d, s);
     // A skipped row may empty a step or a pass; only one-point tiles
     // whose weights and sums are per cycle keep that countable. A
     // shifting feed needs every step of a pass to hold rows.
@@ -195,14 +196,14 @@ scheduleModel(const Dataflow &d, const ConvSpec &s, int n_pes)
                    (d.tileY * d.tileX == 1 &&
                     d.weights == WeightReuse::PerCycle &&
                     d.psums == WindowKind::WriteThrough)) &&
-                      (d.inputs != InputReuse::Shift ||
+                      (reuse != InputReuse::Shift ||
                        (!inputs && !d.skipZeros)) &&
                       (d.psums != WindowKind::AccumBuffer ||
                        d.walked == Space::Outputs),
                   "no closed form for this dataflow descriptor");
     ScheduleModel m;
     RunStats &st = m.stats;
-    st.nPes = u64(n_pes);
+    st.nPes = u64(d.pes());
 
     const bool four_d = s.fourDimOutput;
     const u64 nif = u64(s.nif), nof = u64(s.nof);
@@ -283,9 +284,9 @@ scheduleModel(const Dataflow &d, const ConvSpec &s, int n_pes)
                 : py.all * px.all;
         const u64 steps = d.skipZeros && !inputs ? rows_sum : passes * walked;
         u64 in_words = steps; // Broadcast
-        if (d.inputs == InputReuse::Reload) {
+        if (reuse == InputReuse::Reload) {
             in_words = rows_sum;
-        } else if (d.inputs == InputReuse::Shift) {
+        } else if (reuse == InputReuse::Shift) {
             // Per pass: the tile, then a tile row (width words) at each
             // later row start of the walked space and a tile column
             // (height words) at every other step. A flat tile's column
@@ -355,7 +356,7 @@ scheduleModel(const Dataflow &d, const ConvSpec &s, int n_pes)
                                    : tile0 * of_max);
         m.peakInputLoads = std::max(
             m.peakInputLoads,
-            max_lanes * (d.inputs == InputReuse::Broadcast ? 1 : step_rows));
+            max_lanes * (reuse == InputReuse::Broadcast ? 1 : step_rows));
         if (d.psums == WindowKind::RegisterTile) {
             m.peakOutputWrites = std::max(m.peakOutputWrites, tile0 * of_max);
             m.maxWindowCells = std::max(m.maxWindowCells, tile0 * of_max);

@@ -111,13 +111,13 @@ struct ScheduleModel
 };
 
 /**
- * The model of a walk of `d` on `s` over `n_pes` PEs, equal to the
+ * The model of a walk of `d` on `s`, over d.pes() PEs, equal to the
  * walk's by contract: the parity and schedule-shadow suites keep
  * "equal" honest. Panics on the malformed-spec preconditions the walk
  * asserts, and on a descriptor outside the combinations it derives
  * (see closed_form.cc); every architecture's descriptor is inside.
  */
-ScheduleModel scheduleModel(const Dataflow &d, const ConvSpec &s, int n_pes);
+ScheduleModel scheduleModel(const Dataflow &d, const ConvSpec &s);
 
 } // namespace sim
 } // namespace ganacc

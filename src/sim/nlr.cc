@@ -11,7 +11,7 @@ namespace ganacc {
 namespace sim {
 
 bool
-Nlr::dataflow(const ConvSpec &, Dataflow &d) const
+Nlr::dataflow(Dataflow &d) const
 {
     // P_if x P_of lanes: each output position and tap in turn, its
     // input maps pIf a cycle through the adder tree, weights and

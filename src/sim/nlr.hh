@@ -41,13 +41,7 @@ class Nlr : public Architecture
                        unroll),
           policy_(policy) {}
 
-    int
-    numPes() const override
-    {
-        return unroll_.pIf * unroll_.pOf;
-    }
-
-    bool dataflow(const ConvSpec &spec, Dataflow &d) const override;
+    bool dataflow(Dataflow &d) const override;
 
   private:
     ZeroPolicy policy_;

@@ -11,13 +11,12 @@ namespace ganacc {
 namespace sim {
 
 bool
-OutputStationary::dataflow(const ConvSpec &spec, Dataflow &d) const
+OutputStationary::dataflow(Dataflow &d) const
 {
     // A pOy x pOx output tile per pass, its partial sums held in the
     // register array; each cycle broadcasts one tap's weights to it.
-    // A raster feed on a strided job loses the register array's shift
-    // alignment and reloads the whole tile every cycle (Fig. 7(b)).
-    const bool shifts = reordered_feed_ || spec.stride == 1;
+    // A raster feed keeps the register array's shift alignment on
+    // stride-1 jobs only (InputReuse::RasterShift).
     d = Dataflow{.pOf = unroll_.pOf,
                  .tiled = Space::Outputs,
                  .tileY = unroll_.pOy,
@@ -26,8 +25,8 @@ OutputStationary::dataflow(const ConvSpec &spec, Dataflow &d) const
                  .zeroFree = zero_free_,
                  .gateZeroValues = true,
                  .weights = WeightReuse::PerCycle,
-                 .inputs = shifts ? InputReuse::Shift
-                                  : InputReuse::Reload,
+                 .inputs = reordered_feed_ ? InputReuse::Shift
+                                           : InputReuse::RasterShift,
                  .psums = WindowKind::RegisterTile};
     return true;
 }

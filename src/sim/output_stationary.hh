@@ -39,13 +39,7 @@ namespace sim {
 class OutputStationary : public Architecture
 {
   public:
-    int
-    numPes() const override
-    {
-        return unroll_.pOx * unroll_.pOy * unroll_.pOf;
-    }
-
-    bool dataflow(const ConvSpec &spec, Dataflow &d) const override;
+    bool dataflow(Dataflow &d) const override;
 
   protected:
     OutputStationary(std::string name, Unroll unroll, bool zero_free,

@@ -269,7 +269,7 @@ class Walker
     Walker(const Architecture &arch, const Dataflow &d, const ConvSpec &s,
            const Tensor *in, const Tensor *w, Tensor *out)
         : d_(d), s_(s), in_(in), w_(w), out_(out),
-          rec_(arch.scheduleRecorder()), nPes_(arch.numPes()),
+          rec_(arch.scheduleRecorder()), nPes_(d.pes()),
           fourD_(s.fourDimOutput), planes_(fourD_ ? s.nif : 1),
           kMaps_(fourD_ ? 1 : s.nif),
           // On 4-D outputs the input maps are separate outputs that no
@@ -506,7 +506,7 @@ Walker::buildPass(int height, int width)
     const bool tiles_outputs = d_.tiled == Space::Outputs;
     const bool inputs = d_.walked == Space::Inputs, skip = d_.skipZeros,
                gate = d_.gateZeroValues, functional = in_ != nullptr;
-    const InputReuse reuse = d_.inputs;
+    const InputReuse reuse = inputReuse(d_, s_);
     const int stride = s_.stride, pad = s_.pad, ih = s_.ih, iw = s_.iw,
               of_span = ofSpan_;
     const char *const in_row0 = inRow0_.data();
@@ -598,19 +598,14 @@ Walker::buildPass(int height, int width)
         if (step_rows == 0 && !inputs)
             continue;
         const bool first_step = n_steps == 0;
-        switch (reuse) {
-          case InputReuse::Broadcast:
+        if (reuse == InputReuse::Broadcast)
             sp.inWords = 1;
-            break;
-          case InputReuse::Reload:
+        else if (reuse == InputReuse::Reload)
             sp.inWords = std::uint32_t(step_rows);
-            break;
-          case InputReuse::Shift:
+        else // Shift
             sp.inWords = std::uint32_t(first_step  ? step_rows
                                        : b.rowStart ? width
                                                     : height);
-            break;
-        }
         if (functional && step_rows != 0)
             busy[n_busy++] = std::uint32_t(n_steps);
         steps[n_steps++] = sp;

@@ -47,6 +47,7 @@
 #ifndef GANACC_SIM_WALKER_HH
 #define GANACC_SIM_WALKER_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "sim/conv_spec.hh"
@@ -84,9 +85,20 @@ enum class InputReuse
      *  space. A flat tile shifts by a column of at most tileY points
      *  either way. */
     Shift,
+    /** A raster weight feed: Shift on a stride-1 job; on a strided one
+     *  adjacent cycles need disjoint inputs, so the tile reloads every
+     *  cycle (Reload, Fig. 7(b)). inputReuse() resolves it. */
+    RasterShift,
 };
 
-/** One dataflow, as a choice over the Table II loop nest. */
+/**
+ * One dataflow, as a choice over the Table II loop nest. It is the
+ * only per-dataflow fact: the walk and the closed form run it, and the
+ * PE count, the unroll factors the dataflow reads
+ * (sim::unrollFactors) and the loop bounds they must divide
+ * (verify::checkUnroll) are read off it. It depends on the unrolling
+ * only, never on a job.
+ */
 struct Dataflow
 {
     int pOf = 1; ///< output maps on lanes: every row is a run of this many
@@ -124,7 +136,25 @@ struct Dataflow
      *  the adder tree into a partial-result buffer whose first pass
      *  creates each cell (AccumBuffer). */
     WindowKind psums = WindowKind::WriteThrough;
+
+    /** The PE count: the tile's lanes (one when a pass is a temporal
+     *  point), times the input-map lanes, times pOf. */
+    int
+    pes() const
+    {
+        return (tileOnLanes ? tileY * tileX : 1) * std::max(cLanes, 1) * pOf;
+    }
 };
+
+/** The input rule of `d` on `s`: `d.inputs`, with RasterShift resolved
+ *  against the stride. */
+inline InputReuse
+inputReuse(const Dataflow &d, const ConvSpec &s)
+{
+    if (d.inputs != InputReuse::RasterShift)
+        return d.inputs;
+    return s.stride == 1 ? InputReuse::Shift : InputReuse::Reload;
+}
 
 /**
  * What one cycle fixes, as five coefficients over a row

@@ -11,7 +11,7 @@ namespace ganacc {
 namespace sim {
 
 bool
-Wst::dataflow(const ConvSpec &, Dataflow &d) const
+Wst::dataflow(Dataflow &d) const
 {
     // A pKy x pKx tile of kernel taps stays resident per pass; every
     // input is broadcast once per input map, and each resident tap it

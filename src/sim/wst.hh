@@ -29,13 +29,7 @@ class Wst : public Architecture
   public:
     explicit Wst(Unroll unroll) : Architecture("WST", unroll) {}
 
-    int
-    numPes() const override
-    {
-        return unroll_.pKx * unroll_.pKy * unroll_.pOf;
-    }
-
-    bool dataflow(const ConvSpec &spec, Dataflow &d) const override;
+    bool dataflow(Dataflow &d) const override;
 };
 
 } // namespace sim

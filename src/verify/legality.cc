@@ -10,6 +10,7 @@
 #include <string>
 
 #include "sim/phase.hh"
+#include "sim/walker.hh"
 #include "util/logging.hh"
 #include "verify/static_bounds.hh"
 
@@ -231,87 +232,21 @@ struct DimCheck
     int factor;
 };
 
-/** Loop bounds the unrolling must divide for a job on a dataflow.
- *  ZFOST/ZFWST bounds are per parity class of the zero-stuffed map. */
-std::vector<DimCheck>
-unrollDims(core::ArchKind kind, const Unroll &u, const ConvSpec &spec)
-{
-    std::vector<DimCheck> dims;
-    switch (kind) {
-      case core::ArchKind::NLR:
-        if (!spec.fourDimOutput)
-            dims.push_back({"nif", spec.nif, u.pIf});
-        dims.push_back({"nof", spec.nof, u.pOf});
-        break;
-      case core::ArchKind::WST:
-        dims.push_back({"kh", spec.kh, u.pKy});
-        dims.push_back({"kw", spec.kw, u.pKx});
-        dims.push_back({"nof", spec.nof, u.pOf});
-        break;
-      case core::ArchKind::OST:
-        dims.push_back({"oh", spec.oh, u.pOy});
-        dims.push_back({"ow", spec.ow, u.pOx});
-        dims.push_back({"nof", spec.nof, u.pOf});
-        break;
-      case core::ArchKind::ZFOST:
-        for (const sim::ParityClass &cls : sim::parityClasses(spec, true)) {
-            dims.push_back({"class rows", cls.y.count, u.pOy});
-            dims.push_back({"class cols", cls.x.count, u.pOx});
-        }
-        dims.push_back({"nof", spec.nof, u.pOf});
-        break;
-      case core::ArchKind::ZFWST:
-        for (const sim::ParityClass &cls : sim::parityClasses(spec, true))
-            if (!cls.empty())
-                dims.push_back({"class kernel elems",
-                                int(cls.y.taps.size() * cls.x.taps.size()),
-                                u.pKx * u.pKy});
-        dims.push_back({"nof", spec.nof, u.pOf});
-        break;
-    }
-    return dims;
-}
+using Factors = std::vector<std::pair<const char *, int>>;
 
-/** Unroll factors a dataflow reads / ignores. */
+/**
+ * The unroll checks shared by every dataflow: GA-UNROLL-POSITIVE for
+ * each used factor below 1 and GA-UNROLL-UNUSED for each unused factor
+ * other than 1; then, when every used factor is positive, for each job
+ * whose `bounds` the factors do not divide, "<arch> unrolling does not
+ * divide <bound names>", handed to `divide` to complete and report.
+ */
+template <class Bounds, class Divide>
 void
-relevantFactors(core::ArchKind kind, const Unroll &u,
-                std::vector<std::pair<const char *, int>> &used,
-                std::vector<std::pair<const char *, int>> &unused)
+reportUnroll(const std::string &arch, const Factors &used,
+             const Factors &unused, const std::vector<ConvSpec> &jobs,
+             Bounds bounds, Divide divide, Report &report)
 {
-    auto pIf = std::make_pair("P_if", u.pIf);
-    auto pOf = std::make_pair("P_of", u.pOf);
-    auto pKx = std::make_pair("P_kx", u.pKx);
-    auto pKy = std::make_pair("P_ky", u.pKy);
-    auto pOx = std::make_pair("P_ox", u.pOx);
-    auto pOy = std::make_pair("P_oy", u.pOy);
-    switch (kind) {
-      case core::ArchKind::NLR:
-        used = {pIf, pOf};
-        unused = {pKx, pKy, pOx, pOy};
-        break;
-      case core::ArchKind::WST:
-      case core::ArchKind::ZFWST:
-        used = {pKx, pKy, pOf};
-        unused = {pIf, pOx, pOy};
-        break;
-      case core::ArchKind::OST:
-      case core::ArchKind::ZFOST:
-        used = {pOx, pOy, pOf};
-        unused = {pIf, pKx, pKy};
-        break;
-    }
-}
-
-} // namespace
-
-void
-checkUnroll(core::ArchKind kind, const Unroll &unroll,
-            const std::vector<ConvSpec> &jobs, Report &report)
-{
-    const std::string arch = core::archKindName(kind);
-
-    std::vector<std::pair<const char *, int>> used, unused;
-    relevantFactors(kind, unroll, used, unused);
     bool positive = true;
     for (const auto &[name, value] : used) {
         if (value < 1) {
@@ -331,44 +266,107 @@ checkUnroll(core::ArchKind kind, const Unroll &unroll,
     if (!positive)
         return;
 
-    const bool zero_free = kind == core::ArchKind::ZFOST ||
-                           kind == core::ArchKind::ZFWST;
     for (const ConvSpec &job : jobs) {
-        // A stuffed input streamed with stride > 1 already fails
-        // checkConvSpec (GA-SPEC-ZI-STRIDE); the zero-free schedules
-        // are undefined on it.
-        if (zero_free && job.inZeroStride > 1 && job.stride != 1)
-            continue;
         std::vector<const char *> offending;
-        for (const DimCheck &d : unrollDims(kind, unroll, job)) {
+        for (const DimCheck &d : bounds(job))
             if (d.bound % d.factor != 0 &&
                 std::find(offending.begin(), offending.end(), d.name) ==
                     offending.end())
                 offending.push_back(d.name);
-        }
         if (offending.empty())
             continue;
-        // Quantify the boundary cost with the closed-form schedule:
-        // the fraction of offered PE slots nothing was scheduled on.
-        sim::RunStats st = staticRunStats(kind, unroll, job);
-        double idle_frac =
-            st.totalSlots()
-                ? double(st.idlePeSlots) / double(st.totalSlots())
-                : 0.0;
         std::ostringstream os;
         os << arch << " unrolling does not divide";
         for (std::size_t i = 0; i < offending.size(); ++i)
             os << (i ? ", " : " ") << offending[i];
-        os << "; " << int(idle_frac * 100.0)
-           << "% of PE slots idle on this job";
-        report.note(codes::kUnrollDivide, job.label, os.str());
-        if (idle_frac > 0.5)
-            report.warning(codes::kUnrollWaste, job.label,
-                           arch + " boundary tiles idle more than half "
-                           "the array on this job (" +
-                               std::to_string(int(idle_frac * 100.0)) +
-                               "%)");
+        divide(job, os.str());
     }
+}
+
+/**
+ * Loop bounds the lanes of `d` must divide on `spec`: nif when the
+ * input maps sit on lanes (not on 4-D outputs, which no adder tree
+ * sums); when the tile is on lanes, the tiled space's extents (oh/ow
+ * or kh/kw), per parity class that streams a tap when zero-free, and
+ * as one count of kernel elements when flat; then nof.
+ */
+std::vector<DimCheck>
+divideBounds(const sim::Dataflow &d, const ConvSpec &spec)
+{
+    std::vector<DimCheck> dims;
+    if (d.cLanes != 0 && !spec.fourDimOutput)
+        dims.push_back({"nif", spec.nif, d.cLanes});
+    const bool taps = d.tiled == sim::Space::Taps;
+    if (d.tileOnLanes) {
+        for (const sim::ParityClass &cls :
+             sim::parityClasses(spec, d.zeroFree)) {
+            if (cls.empty())
+                continue;
+            const int rows = taps ? int(cls.y.taps.size()) : cls.y.count;
+            const int cols = taps ? int(cls.x.taps.size()) : cls.x.count;
+            if (d.flat) {
+                dims.push_back({"class kernel elems", rows * cols,
+                                d.tileY * d.tileX});
+                continue;
+            }
+            dims.push_back({d.zeroFree ? "class rows" : taps ? "kh" : "oh",
+                            rows, d.tileY});
+            dims.push_back({d.zeroFree ? "class cols" : taps ? "kw" : "ow",
+                            cols, d.tileX});
+        }
+    }
+    dims.push_back({"nof", spec.nof, d.pOf});
+    return dims;
+}
+
+} // namespace
+
+void
+checkUnroll(core::ArchKind kind, const Unroll &unroll,
+            const std::vector<ConvSpec> &jobs, Report &report)
+{
+    const std::string arch = core::archKindName(kind);
+    const auto pe_array = core::makeArch(kind, unroll);
+    sim::Dataflow d;
+    pe_array->dataflow(d);
+
+    // Which factors the dataflow reads is its shape, not their values
+    // (a zero P_if would read as no input-map lanes): ask at unit ones.
+    sim::Dataflow shape;
+    core::makeArch(kind, Unroll{})->dataflow(shape);
+    Factors used, unused;
+    for (const sim::UnrollFactor &f : sim::unrollFactors(shape))
+        (f.read ? used : unused).emplace_back(f.name, unroll.*f.member);
+
+    reportUnroll(
+        arch, used, unused, jobs,
+        [&](const ConvSpec &job) {
+            // A stuffed input streamed with stride > 1 already fails
+            // checkConvSpec (GA-SPEC-ZI-STRIDE); the zero-free
+            // schedules are undefined on it.
+            if (d.zeroFree && job.inZeroStride > 1 && job.stride != 1)
+                return std::vector<DimCheck>{};
+            return divideBounds(d, job);
+        },
+        [&](const ConvSpec &job, const std::string &message) {
+            // Quantify the boundary cost with the closed-form schedule:
+            // the fraction of offered PE slots nothing was scheduled on.
+            const sim::RunStats st = staticModel(*pe_array, job).stats;
+            const double idle_frac =
+                st.totalSlots()
+                    ? double(st.idlePeSlots) / double(st.totalSlots())
+                    : 0.0;
+            const std::string idle = std::to_string(int(idle_frac * 100.0));
+            report.note(codes::kUnrollDivide, job.label,
+                        message + "; " + idle +
+                            "% of PE slots idle on this job");
+            if (idle_frac > 0.5)
+                report.warning(codes::kUnrollWaste, job.label,
+                               arch + " boundary tiles idle more than "
+                               "half the array on this job (" +
+                                   idle + "%)");
+        },
+        report);
 }
 
 std::string
@@ -381,10 +379,9 @@ void
 checkBaselineUnroll(BaselineKind kind, const Unroll &unroll,
                     const std::vector<ConvSpec> &jobs, Report &report)
 {
-    const std::string arch = baselineName(kind);
-
-    std::vector<std::pair<const char *, int>> used, unused;
-    if (kind == BaselineKind::CNV) {
+    const bool cnv = kind == BaselineKind::CNV;
+    Factors used, unused;
+    if (cnv) {
         used = {{"P_if", unroll.pIf}, {"P_of", unroll.pOf}};
         unused = {{"P_kx", unroll.pKx},
                   {"P_ky", unroll.pKy},
@@ -398,51 +395,26 @@ checkBaselineUnroll(BaselineKind kind, const Unroll &unroll,
                   {"P_kx", unroll.pKx},
                   {"P_ox", unroll.pOx}};
     }
-    bool positive = true;
-    for (const auto &[name, value] : used) {
-        if (value < 1) {
-            report.error(codes::kUnrollPositive, arch,
-                         std::string(name) + " = " +
-                             std::to_string(value) +
-                             " must be at least 1");
-            positive = false;
-        }
-    }
-    for (const auto &[name, value] : unused)
-        if (value != 1)
-            report.warning(codes::kUnrollUnused, arch,
-                           std::string(name) + " = " +
-                               std::to_string(value) + " is ignored by "
-                               "the " + arch + " dataflow");
-    if (!positive)
-        return;
-
-    for (const ConvSpec &job : jobs) {
-        std::vector<DimCheck> dims;
-        if (kind == BaselineKind::CNV) {
-            if (!job.fourDimOutput)
-                dims.push_back({"nif", job.nif, unroll.pIf});
+    reportUnroll(
+        baselineName(kind), used, unused, jobs,
+        [&](const ConvSpec &job) {
+            std::vector<DimCheck> dims;
+            if (cnv) {
+                if (!job.fourDimOutput)
+                    dims.push_back({"nif", job.nif, unroll.pIf});
+            } else {
+                dims.push_back({"kh", job.kh, unroll.pKy});
+                dims.push_back({"oh", job.oh, unroll.pOy});
+            }
             dims.push_back({"nof", job.nof, unroll.pOf});
-        } else {
-            dims.push_back({"kh", job.kh, unroll.pKy});
-            dims.push_back({"oh", job.oh, unroll.pOy});
-            dims.push_back({"nof", job.nof, unroll.pOf});
-        }
-        std::vector<const char *> offending;
-        for (const DimCheck &d : dims)
-            if (d.bound % d.factor != 0 &&
-                std::find(offending.begin(), offending.end(), d.name) ==
-                    offending.end())
-                offending.push_back(d.name);
-        if (offending.empty())
-            continue;
-        std::ostringstream os;
-        os << arch << " unrolling does not divide";
-        for (std::size_t i = 0; i < offending.size(); ++i)
-            os << (i ? ", " : " ") << offending[i];
-        os << "; boundary tiles idle PE slots on this job";
-        report.note(codes::kUnrollDivide, job.label, os.str());
-    }
+            return dims;
+        },
+        [&](const ConvSpec &job, const std::string &message) {
+            report.note(codes::kUnrollDivide, job.label,
+                        message + "; boundary tiles idle PE slots on "
+                                  "this job");
+        },
+        report);
 }
 
 void

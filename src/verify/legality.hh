@@ -57,7 +57,9 @@ void checkModel(const gan::GanModel &model, Report &report);
  * error), factors it ignores (GA-UNROLL-UNUSED, warning), and
  * unrolling-divides-bounds legality per job (GA-UNROLL-DIVIDE, note,
  * with the scheduled-slot utilization; GA-UNROLL-WASTE, warning, when
- * boundary tiles idle more than half the scheduled slots).
+ * boundary tiles idle more than half the scheduled slots). Which
+ * factors the dataflow reads and which bounds they must divide are
+ * read off its Fig. 4 descriptor (docs/static_analysis.md).
  */
 void checkUnroll(core::ArchKind kind, const sim::Unroll &unroll,
                  const std::vector<sim::ConvSpec> &jobs, Report &report);

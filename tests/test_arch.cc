@@ -408,4 +408,30 @@ TEST(ArchBasics, RunRejectsMixedNullOperands)
     EXPECT_THROW(z.run(s, &in, nullptr, nullptr), util::PanicError);
 }
 
+TEST(ArchBasics, PeCountIsTheTableIIProduct)
+{
+    // The PE count is read off the Fig. 4 descriptor; Table II states
+    // it per dataflow as the product of the factors the array unrolls.
+    for (int x : {1, 2, 3})
+        for (int y : {1, 4})
+            for (int of : {1, 5}) {
+                // Distinct factors, so a factor read in the wrong place
+                // or one the dataflow ignores changes the count.
+                const Unroll u{.pIf = x + 2, .pOf = of, .pKx = x,
+                               .pKy = y, .pOx = y + 1, .pOy = x + 1};
+                const int nlr = u.pIf * of, kernel = u.pKx * u.pKy * of,
+                          outputs = u.pOx * u.pOy * of;
+                EXPECT_EQ(Nlr(u).numPes(), nlr) << u.str();
+                EXPECT_EQ(Nlr(u, Nlr::ZeroPolicy::Execute).numPes(), nlr)
+                    << u.str();
+                EXPECT_EQ(Wst(u).numPes(), kernel) << u.str();
+                EXPECT_EQ(Zfwst(u).numPes(), kernel) << u.str();
+                EXPECT_EQ(Ost(u).numPes(), outputs) << u.str();
+                EXPECT_EQ(Zfost(u).numPes(), outputs) << u.str();
+                EXPECT_EQ(Zfost(u, Zfost::WeightOrder::Raster).numPes(),
+                          outputs)
+                    << u.str();
+            }
+}
+
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/dse.hh"
@@ -292,6 +293,150 @@ TEST(UnrollLegality, BaselineRstChecksRowGridFactors)
                                 {legalSpec()}, r2);
     EXPECT_TRUE(r2.empty());
 }
+
+TEST(UnrollLegality, ZeroFreeClassWithoutTapsNeedsNoDivide)
+{
+    // T-CONV over a 3x3 map stuffed by 3 with a 2x2 kernel: the output
+    // classes of offset 2 have 2 rows (cols) and stream no tap, so they
+    // never reach the array; every class with taps is 3x3.
+    sim::ConvSpec s;
+    s.label = "stuffed job";
+    s.nif = 4;
+    s.nof = 2;
+    s.ih = s.iw = 7;
+    s.inZeroStride = 3;
+    s.inOrigH = s.inOrigW = 3;
+    s.kh = s.kw = 2;
+    s.oh = s.ow = 8;
+    s.pad = 1;
+    Report clean;
+    verify::checkConvSpec(s, clean);
+    ASSERT_TRUE(clean.empty());
+
+    sim::Unroll u;
+    u.pOy = u.pOx = 3;
+    u.pOf = 2;
+    Report r;
+    verify::checkUnroll(core::ArchKind::ZFOST, u, {s}, r);
+    EXPECT_TRUE(r.empty()) << r.diagnostics().front().message;
+
+    u.pOy = u.pOx = 2; // a 3x3 class with taps leaves a boundary tile
+    Report r2;
+    verify::checkUnroll(core::ArchKind::ZFOST, u, {s}, r2);
+    const verify::Diagnostic *d = r2.find(verify::codes::kUnrollDivide);
+    ASSERT_NE(d, nullptr);
+    EXPECT_NE(d->message.find("class rows, class cols"), std::string::npos)
+        << d->message;
+}
+
+TEST(UnrollLegality, NlrLanesNeedNotDivideNifOnFourDimOutputs)
+{
+    sim::Unroll u;
+    u.pIf = 4; // nif=2 is not a multiple
+    u.pOf = 3;
+    sim::ConvSpec s = legalSpec();
+    Report r;
+    verify::checkUnroll(core::ArchKind::NLR, u, {s}, r);
+    const verify::Diagnostic *d = r.find(verify::codes::kUnrollDivide);
+    ASSERT_NE(d, nullptr);
+    EXPECT_NE(d->message.find("does not divide nif;"), std::string::npos)
+        << d->message;
+
+    // 4-D outputs accumulate nothing across input maps, so no adder
+    // tree sums them and nif is no bound of the lanes.
+    s.fourDimOutput = true;
+    Report r2;
+    verify::checkUnroll(core::ArchKind::NLR, u, {s}, r2);
+    EXPECT_FALSE(r2.has(verify::codes::kUnrollDivide));
+}
+
+TEST(UnrollLegality, ZfwstBoundIsTheClassKernelElementCount)
+{
+    // ZFWST tiles a class's kernel elements flat: 9 elements fill a 1x9
+    // tile exactly, while WST's 2-D tile must divide kw.
+    sim::Unroll u;
+    u.pKy = 1;
+    u.pKx = 9;
+    u.pOf = 2;
+    Report zfwst;
+    verify::checkUnroll(core::ArchKind::ZFWST, u, {legalSpec()}, zfwst);
+    EXPECT_TRUE(zfwst.empty());
+    Report wst;
+    verify::checkUnroll(core::ArchKind::WST, u, {legalSpec()}, wst);
+    const verify::Diagnostic *d = wst.find(verify::codes::kUnrollDivide);
+    ASSERT_NE(d, nullptr);
+    EXPECT_NE(d->message.find("does not divide kw;"), std::string::npos)
+        << d->message;
+
+    u.pKy = u.pKx = 2; // 9 elements in tiles of 4
+    Report r;
+    verify::checkUnroll(core::ArchKind::ZFWST, u, {legalSpec()}, r);
+    d = r.find(verify::codes::kUnrollDivide);
+    ASSERT_NE(d, nullptr);
+    EXPECT_NE(d->message.find("does not divide class kernel elems;"),
+              std::string::npos)
+        << d->message;
+}
+
+/** Per kind: the factors its dataflow ignores, in report order. */
+class UnrollLegalityByKind : public ::testing::TestWithParam<core::ArchKind>
+{
+  protected:
+    std::vector<std::string>
+    unusedFactors() const
+    {
+        switch (GetParam()) {
+          case core::ArchKind::NLR:
+            return {"P_kx", "P_ky", "P_ox", "P_oy"};
+          case core::ArchKind::WST:
+          case core::ArchKind::ZFWST:
+            return {"P_if", "P_ox", "P_oy"};
+          case core::ArchKind::OST:
+          case core::ArchKind::ZFOST:
+            return {"P_if", "P_kx", "P_ky"};
+        }
+        return {};
+    }
+};
+
+TEST_P(UnrollLegalityByKind, FlagsExactlyTheFactorsItIgnores)
+{
+    const sim::Unroll twos{.pIf = 2, .pOf = 2, .pKx = 2, .pKy = 2,
+                           .pOx = 2, .pOy = 2};
+    Report r;
+    verify::checkUnroll(GetParam(), twos, {legalSpec()}, r);
+    EXPECT_TRUE(r.ok());
+    std::vector<std::string> flagged;
+    for (const verify::Diagnostic &d : r.diagnostics())
+        if (d.code == verify::codes::kUnrollUnused)
+            flagged.push_back(d.message.substr(0, d.message.find(' ')));
+    EXPECT_EQ(flagged, unusedFactors());
+}
+
+TEST_P(UnrollLegalityByKind, RejectsEveryNonPositiveFactorItReads)
+{
+    const std::vector<std::string> unused = unusedFactors();
+    const std::vector<std::pair<const char *, int sim::Unroll::*>> all = {
+        {"P_if", &sim::Unroll::pIf}, {"P_kx", &sim::Unroll::pKx},
+        {"P_ky", &sim::Unroll::pKy}, {"P_ox", &sim::Unroll::pOx},
+        {"P_oy", &sim::Unroll::pOy}, {"P_of", &sim::Unroll::pOf}};
+    for (const auto &[name, member] : all) {
+        sim::Unroll u;
+        u.*member = 0;
+        Report r;
+        verify::checkUnroll(GetParam(), u, {legalSpec()}, r);
+        const bool read = std::find(unused.begin(), unused.end(), name) ==
+                          unused.end();
+        EXPECT_EQ(r.has(verify::codes::kUnrollPositive), read) << name;
+        EXPECT_EQ(r.has(verify::codes::kUnrollUnused), !read) << name;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, UnrollLegalityByKind, ::testing::ValuesIn(core::allArchKinds()),
+    [](const ::testing::TestParamInfo<core::ArchKind> &p) {
+        return core::archKindName(p.param);
+    });
 
 // ---------------------------------------------------------------------
 // Buffer capacity (GA-BUF-*)

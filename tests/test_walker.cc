@@ -88,7 +88,7 @@ TEST(WalkerProjection, EveryCycleKeysOnceOnCampaignShapes)
             const tensor::Tensor w = sim::makeStreamedKernel(spec, rng);
             for (const auto &arch : columns) {
                 sim::Dataflow d;
-                ASSERT_TRUE(arch->dataflow(spec, d)) << arch->name();
+                ASSERT_TRUE(arch->dataflow(d)) << arch->name();
                 KeyCheck check(sim::cycleProjection(d, spec));
                 arch->setFaultHook(&check);
                 arch->setScheduleRecorder(&check);

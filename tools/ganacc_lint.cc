@@ -94,14 +94,13 @@ familyRole(sim::PhaseFamily f)
                : core::BankRole::ST;
 }
 
-/** True when the walks (and so the schedule derivations) assert on
- *  this job under the zero-free dataflows. */
+/** True when the walk of `d` (and so the schedule derivations)
+ *  asserts on this job: a zero-free dataflow on a stuffed input
+ *  streamed with stride > 1. */
 bool
-zeroFreeUnwalkable(core::ArchKind kind, const sim::ConvSpec &job)
+zeroFreeUnwalkable(const sim::Dataflow &d, const sim::ConvSpec &job)
 {
-    return (kind == core::ArchKind::ZFOST ||
-            kind == core::ArchKind::ZFWST) &&
-           job.inZeroStride > 1 && job.stride != 1;
+    return d.zeroFree && job.inZeroStride > 1 && job.stride != 1;
 }
 
 /** Schedule checks per phase family with the published unrolling. */
@@ -119,11 +118,14 @@ lintSchedule(const gan::GanModel &model, core::ArchKind kind, int st_pes,
         sim::Unroll u = core::paperUnroll(kind, role, f, budget);
         std::vector<sim::ConvSpec> jobs = sim::familyJobs(model, f);
         verify::checkUnroll(kind, u, jobs, report);
+        auto arch = core::makeArch(kind, u);
+        sim::Dataflow d;
+        arch->dataflow(d);
 
         // Symbolic schedule-hazard analysis: cheap enough to run on
         // every lint (no cycles walked).
         for (const sim::ConvSpec &job : jobs) {
-            if (zeroFreeUnwalkable(kind, job))
+            if (zeroFreeUnwalkable(d, job))
                 continue; // already an error from checkConvSpec
             verify::checkSchedule(kind, u, job, port_budget, report);
             if (check_schedule)
@@ -133,13 +135,12 @@ lintSchedule(const gan::GanModel &model, core::ArchKind kind, int st_pes,
 
         if (!check_bounds)
             continue;
-        auto arch = core::makeArch(kind, u);
         // The bounds check compares closed form against the cycle
         // walk; force the walk engine, else the fast path would make
         // the comparison circular (closed form vs itself).
         sim::ScopedSimEngine walk(sim::SimEngine::Walk);
         for (const sim::ConvSpec &job : jobs) {
-            if (zeroFreeUnwalkable(kind, job))
+            if (zeroFreeUnwalkable(d, job))
                 continue; // already an error from checkConvSpec
             verify::checkBoundsAgainstSim(kind, u, job, arch->run(job),
                                           report);
