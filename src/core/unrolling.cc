@@ -12,7 +12,6 @@
 #include "core/zfwst.hh"
 #include "sim/nlr.hh"
 #include "sim/output_stationary.hh"
-#include "sim/walker.hh"
 #include "sim/wst.hh"
 #include "util/logging.hh"
 
@@ -148,10 +147,9 @@ solveUnrolling(ArchKind kind, int pe_budget,
 
     // The per-channel factors the dataflow reads: P_if alone, or a
     // tile's P_kx, P_ky or P_ox, P_oy (rows in the outer loop).
-    sim::Dataflow d;
-    makeArch(kind, Unroll{})->dataflow(d);
+    const auto unit = makeArch(kind, Unroll{});
     std::vector<int Unroll::*> lanes;
-    for (const sim::UnrollFactor &f : sim::unrollFactors(d))
+    for (const sim::UnrollFactor &f : sim::unrollFactors(*unit->dataflow()))
         if (f.read && f.member != &Unroll::pOf)
             lanes.push_back(f.member);
     if (lanes.size() == 1) {

@@ -4,9 +4,9 @@
  * the paper's design for ST-ARCH (phases D→, G→, D←, G←).
  *
  * ZFOST is OST with zero-free scheduling (Fig. 12(b)) and the
- * parity-grouped weight feed (Fig. 12(a)); both run on the shared
- * output-stationary walk of sim/output_stationary.hh, which documents
- * the two additions.
+ * parity-grouped weight feed (Fig. 12(a)); both are knobs of the
+ * shared output-stationary descriptor of sim/output_stationary.hh,
+ * which documents the two additions.
  */
 
 #ifndef GANACC_CORE_ZFOST_HH
@@ -18,7 +18,7 @@ namespace ganacc {
 namespace core {
 
 /** The paper's zero-free output-stationary array. */
-class Zfost : public sim::OutputStationary
+class Zfost : public sim::Architecture
 {
   public:
     /** Weight feed order — the Fig. 12(a) design choice. */
@@ -33,11 +33,14 @@ class Zfost : public sim::OutputStationary
 
     explicit Zfost(sim::Unroll unroll,
                    WeightOrder order = WeightOrder::Reordered)
-        : sim::OutputStationary(order == WeightOrder::Reordered
-                                    ? "ZFOST"
-                                    : "ZFOST-raster",
-                                unroll, /*zero_free=*/true,
-                                order == WeightOrder::Reordered) {}
+        : sim::Architecture(
+              order == WeightOrder::Reordered ? "ZFOST" : "ZFOST-raster",
+              unroll,
+              sim::outputStationary(unroll, /*zero_free=*/true,
+                                    order == WeightOrder::Reordered
+                                        ? sim::InputReuse::Shift
+                                        : sim::InputReuse::RasterShift))
+    {}
 };
 
 } // namespace core

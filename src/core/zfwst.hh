@@ -32,10 +32,23 @@ namespace core {
 class Zfwst : public sim::Architecture
 {
   public:
+    // Per parity class, its effective taps resident in runs of
+    // pKy * pKx; each cycle one output neuron per channel through the
+    // adder tree, with a column shift of the register window, into the
+    // ping-pong partial-result buffer.
     explicit Zfwst(sim::Unroll unroll)
-        : sim::Architecture("ZFWST", unroll) {}
-
-    bool dataflow(sim::Dataflow &d) const override;
+        : sim::Architecture(
+              "ZFWST", unroll,
+              sim::Dataflow{.pOf = unroll.pOf,
+                            .tiled = sim::Space::Taps,
+                            .tileY = unroll.pKy,
+                            .tileX = unroll.pKx,
+                            .flat = true,
+                            .walked = sim::Space::Outputs,
+                            .zeroFree = true,
+                            .weights = sim::WeightReuse::Resident,
+                            .inputs = sim::InputReuse::Shift,
+                            .psums = sim::WindowKind::AccumBuffer}) {}
 };
 
 } // namespace core

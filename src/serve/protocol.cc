@@ -11,9 +11,30 @@
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
+#include "verify/legality.hh"
 
 namespace ganacc {
 namespace serve {
+
+namespace {
+
+/** The unrolling of a request, refused when `kind` reads a factor
+ *  below 1 (GA-UNROLL-POSITIVE): a zero would divide by zero in the
+ *  simulator and a negative one wrap its counters. */
+sim::Unroll
+decodeUnroll(core::ArchKind kind, const util::json::Value &v)
+{
+    const sim::Unroll u = sim::unrollFromJson(v);
+    verify::Report report;
+    verify::checkUnroll(kind, u, {}, report);
+    if (const verify::Diagnostic *d =
+            report.find(verify::codes::kUnrollPositive))
+        util::fatal(d->where, " unroll: ", d->message, " (", d->code,
+                    ")");
+    return u;
+}
+
+} // namespace
 
 const std::string &
 simulatorVersion()
@@ -103,7 +124,7 @@ decodeRequest(const std::string &line)
             util::fatal("unknown architecture \"", arch,
                         "\" (NLR, WST, OST, ZFOST, ZFWST)");
         req.kind = *kind;
-        req.unroll = sim::unrollFromJson(o.at("unroll"));
+        req.unroll = decodeUnroll(req.kind, o.at("unroll"));
         req.hasSpec = true;
         req.spec = sim::convSpecFromJson(o.at("spec"));
         req.putStats = sim::runStatsFromJson(o.at("result"));
@@ -162,7 +183,7 @@ decodeRequest(const std::string &line)
         util::fatal("unknown architecture \"", arch,
                     "\" (NLR, WST, OST, ZFOST, ZFWST)");
     req.kind = *kind;
-    req.unroll = sim::unrollFromJson(o.at("unroll"));
+    req.unroll = decodeUnroll(req.kind, o.at("unroll"));
     const bool hasSpec = o.contains("spec");
     const bool hasModel = o.contains("model") || o.contains("family");
     if (hasSpec == hasModel)

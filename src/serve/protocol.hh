@@ -186,7 +186,10 @@ struct Response
 std::string encodeRequest(const Request &req);
 std::string encodeResponse(const Response &rsp);
 
-/** Parse one line; throws util::FatalError on malformed input. */
+/** Parse one line; throws util::FatalError on malformed input,
+ *  including a spec, network or put request whose architecture reads
+ *  a non-positive unroll factor (verify::checkUnroll's
+ *  GA-UNROLL-POSITIVE), so nothing is simulated or stored for it. */
 Request decodeRequest(const std::string &line);
 Response decodeResponse(const std::string &line);
 

@@ -10,7 +10,6 @@
 
 #include "obs/probe.hh"
 #include "sim/closed_form.hh"
-#include "sim/walker.hh"
 #include "util/logging.hh"
 
 namespace ganacc {
@@ -38,32 +37,19 @@ unrollFactors(const Dataflow &d)
              {"P_of", &Unroll::pOf, true}}};
 }
 
-int
-Architecture::numPes() const
-{
-    Dataflow d;
-    GANACC_ASSERT(dataflow(d), name_,
-                  " has neither a dataflow nor a PE count of its own");
-    return d.pes();
-}
-
 RunStats
 Architecture::doRun(const ConvSpec &spec, const tensor::Tensor *in,
                     const tensor::Tensor *w, tensor::Tensor *out) const
 {
-    Dataflow d;
-    GANACC_ASSERT(dataflow(d), name_,
-                  " has neither a dataflow nor a walk of its own");
-    return walk(*this, d, spec, in, w, out);
+    return walk(*this, *dataflow_, spec, in, w, out);
 }
 
 bool
 Architecture::scheduleModel(const ConvSpec &spec, ScheduleModel &model) const
 {
-    Dataflow d;
-    if (!dataflow(d))
+    if (!dataflow_)
         return false;
-    model = sim::scheduleModel(d, spec);
+    model = sim::scheduleModel(*dataflow_, spec);
     return true;
 }
 

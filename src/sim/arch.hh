@@ -18,18 +18,19 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "sim/conv_spec.hh"
 #include "sim/fault_hook.hh"
 #include "sim/schedule_recorder.hh"
 #include "sim/stats.hh"
+#include "sim/walker.hh"
 #include "tensor/tensor.hh"
 
 namespace ganacc {
 namespace sim {
 
-struct Dataflow;      // sim/walker.hh
 struct ScheduleModel; // sim/closed_form.hh
 
 /**
@@ -70,17 +71,34 @@ std::array<UnrollFactor, 6> unrollFactors(const Dataflow &d);
 class Architecture
 {
   public:
-    Architecture(std::string name, Unroll unroll)
-        : name_(std::move(name)), unroll_(unroll) {}
+    /** An architecture that runs the Fig. 4 descriptor `d`. The
+     *  factors of `unroll` are stored as given, even non-positive
+     *  ones, so the verifier can report them (GA-UNROLL-POSITIVE). */
+    Architecture(std::string name, Unroll unroll, const Dataflow &d)
+        : name_(std::move(name)), unroll_(unroll), dataflow_(d),
+          n_pes_(d.pes()) {}
     virtual ~Architecture() = default;
 
     const std::string &name() const { return name_; }
     const Unroll &unroll() const { return unroll_; }
 
-    /** Number of PEs in the array: by default the PE count of the
-     *  dataflow() descriptor (Dataflow::pes()); the CNV and RST
-     *  baselines, which have none, count their own. */
-    virtual int numPes() const;
+    /** Number of PEs in the array, fixed at construction: the PE count
+     *  of the dataflow() descriptor (Dataflow::pes()), or the count
+     *  the CNV and RST baselines pass. */
+    int numPes() const { return n_pes_; }
+
+    /**
+     * The Fig. 4 descriptor of this architecture (sim/walker.hh), the
+     * same for every job: doRun() walks each job through sim::walk(),
+     * scheduleModel() derives its model from it, and the verifier's
+     * unroll checks read it. Null for the CNV and RST baselines, which
+     * override doRun() with a walk of their own.
+     */
+    const Dataflow *
+    dataflow() const
+    {
+        return dataflow_ ? &*dataflow_ : nullptr;
+    }
 
     /**
      * Execute one job.
@@ -126,30 +144,21 @@ class Architecture
 
     /**
      * The symbolic schedule model (sim/closed_form.hh) of this job:
-     * fill `model` with sim::scheduleModel() of the architecture's
-     * dataflow() and return true, or return false when it has no
-     * descriptor (CNV and RST walk only). run() answers timing-only,
-     * fault-free runs from `model.stats` when the process-wide engine
-     * allows it (simEngine() != Walk); verify derives its bounds and
-     * schedule relations from the same model.
+     * fill `model` with sim::scheduleModel() of the stored dataflow()
+     * and return true, or return false when there is none (CNV and RST
+     * walk only). run() answers timing-only, fault-free runs from
+     * `model.stats` when the process-wide engine allows it
+     * (simEngine() != Walk); verify derives its bounds and schedule
+     * relations from the same model.
      */
     bool scheduleModel(const ConvSpec &spec, ScheduleModel &model) const;
 
-    /**
-     * The Fig. 4 descriptor of this architecture (sim/walker.hh), the
-     * same for every job: fill `d` and return true when doRun() walks
-     * each job through sim::walk(), scheduleModel() derives its model
-     * from `d`, and numPes() and the verifier's unroll checks read it,
-     * or return false when the architecture overrides doRun() and
-     * numPes() with a walk of its own (the CNV and RST baselines).
-     */
-    virtual bool
-    dataflow(Dataflow &) const
-    {
-        return false;
-    }
-
   protected:
+    /** A baseline with `n_pes` PEs and a walk of its own (doRun());
+     *  it has no descriptor. */
+    Architecture(std::string name, Unroll unroll, int n_pes)
+        : name_(std::move(name)), unroll_(unroll), n_pes_(n_pes) {}
+
     /**
      * The MAC path of a walk of its own (CNV, RST): every product goes
      * through here; sim::walk() runs rows through the same hook in
@@ -170,7 +179,7 @@ class Architecture
     }
 
     /** The cycle walk of one job: by default sim::walk() of the
-     *  architecture's dataflow(). */
+     *  stored dataflow(). */
     virtual RunStats doRun(const ConvSpec &spec, const tensor::Tensor *in,
                            const tensor::Tensor *w,
                            tensor::Tensor *out) const;
@@ -179,6 +188,8 @@ class Architecture
     Unroll unroll_;
 
   private:
+    std::optional<Dataflow> dataflow_;
+    int n_pes_;
     MacFaultHook *fault_ = nullptr;
     ScheduleRecorder *sched_rec_ = nullptr;
 };

@@ -29,13 +29,8 @@ namespace sim {
 class Cnv : public Architecture
 {
   public:
-    explicit Cnv(Unroll unroll) : Architecture("CNV", unroll) {}
-
-    int
-    numPes() const override
-    {
-        return unroll_.pIf * unroll_.pOf;
-    }
+    explicit Cnv(Unroll unroll)
+        : Architecture("CNV", unroll, unroll.pIf * unroll.pOf) {}
 
   protected:
     RunStats doRun(const ConvSpec &spec, const tensor::Tensor *in,

@@ -174,22 +174,6 @@ countNonzeroCoords(int t0, int len, int stride, int k, int pad, int extent,
     return count;
 }
 
-int
-ParityClass::nonzeroRows(const ConvSpec &s, int t0, int len, int ky) const
-{
-    return countNonzeroCoords(t0, len, step * s.stride,
-                              y.first * s.stride + ky - s.pad, 0, s.ih,
-                              s.inZeroStride, s.inOrigH);
-}
-
-int
-ParityClass::nonzeroCols(const ConvSpec &s, int t0, int len, int kx) const
-{
-    return countNonzeroCoords(t0, len, step * s.stride,
-                              x.first * s.stride + kx - s.pad, 0, s.iw,
-                              s.inZeroStride, s.inOrigW);
-}
-
 std::vector<ParityClass>
 parityClasses(const ConvSpec &spec, bool zero_free)
 {

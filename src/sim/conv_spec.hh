@@ -128,12 +128,6 @@ struct ParityClass
 
     /** The class streams no kernel tap (and so schedules nothing). */
     bool empty() const { return y.taps.empty() || x.taps.empty(); }
-
-    /** Outputs t in [t0, t0 + len) of this class's rows (columns)
-     *  whose input operand at kernel row ky (column kx) is in bounds
-     *  and structurally non-zero. */
-    int nonzeroRows(const ConvSpec &s, int t0, int len, int ky) const;
-    int nonzeroCols(const ConvSpec &s, int t0, int len, int kx) const;
 };
 
 /**

@@ -35,16 +35,23 @@ class Nlr : public Architecture
         Execute,
     };
 
+    // P_if x P_of lanes: each output position and tap in turn, its
+    // input maps pIf a cycle through the adder tree, weights and inputs
+    // read every cycle, partial sums read-modify-written in the buffer.
+    // Address-generation zero skipping never schedules a structural-zero
+    // tap (improved NLR); the vanilla dataflow burns its cycles.
     explicit Nlr(Unroll unroll, ZeroPolicy policy = ZeroPolicy::Skip)
-        : Architecture(policy == ZeroPolicy::Skip ? "NLR"
-                                                  : "NLR-vanilla",
-                       unroll),
-          policy_(policy) {}
-
-    bool dataflow(Dataflow &d) const override;
-
-  private:
-    ZeroPolicy policy_;
+        : Architecture(policy == ZeroPolicy::Skip ? "NLR" : "NLR-vanilla",
+                       unroll,
+                       Dataflow{.pOf = unroll.pOf,
+                                .tiled = Space::Outputs,
+                                .tileOnLanes = false,
+                                .cLanes = unroll.pIf,
+                                .walked = Space::Taps,
+                                .skipZeros = policy == ZeroPolicy::Skip,
+                                .weights = WeightReuse::PerCycle,
+                                .inputs = InputReuse::Broadcast,
+                                .psums = WindowKind::WriteThrough}) {}
 };
 
 } // namespace sim

@@ -28,37 +28,42 @@
 #ifndef GANACC_SIM_OUTPUT_STATIONARY_HH
 #define GANACC_SIM_OUTPUT_STATIONARY_HH
 
-#include <string>
-
 #include "sim/arch.hh"
 
 namespace ganacc {
 namespace sim {
 
-/** An output-stationary array; the knobs are fixed by the subclass. */
-class OutputStationary : public Architecture
+/**
+ * The output-stationary descriptor: a pOy x pOx output tile per pass,
+ * its partial sums held in the register array; each cycle broadcasts
+ * one tap's weights to it, multiplied only on a non-zero input.
+ * `zero_free` is knob 1 above; `inputs` is Shift for the reordered
+ * feed, RasterShift for a raster one, which keeps the register
+ * array's shift alignment on stride-1 jobs only.
+ */
+inline Dataflow
+outputStationary(const Unroll &u, bool zero_free, InputReuse inputs)
 {
-  public:
-    bool dataflow(Dataflow &d) const override;
-
-  protected:
-    OutputStationary(std::string name, Unroll unroll, bool zero_free,
-                     bool reordered_feed)
-        : Architecture(std::move(name), unroll), zero_free_(zero_free),
-          reordered_feed_(reordered_feed) {}
-
-  private:
-    bool zero_free_;
-    bool reordered_feed_;
-};
+    return Dataflow{.pOf = u.pOf,
+                    .tiled = Space::Outputs,
+                    .tileY = u.pOy,
+                    .tileX = u.pOx,
+                    .walked = Space::Taps,
+                    .zeroFree = zero_free,
+                    .gateZeroValues = true,
+                    .weights = WeightReuse::PerCycle,
+                    .inputs = inputs,
+                    .psums = WindowKind::RegisterTile};
+}
 
 /** Traditional output-stationary array: raster feed, no skipping. */
-class Ost : public OutputStationary
+class Ost : public Architecture
 {
   public:
     explicit Ost(Unroll unroll)
-        : OutputStationary("OST", unroll, /*zero_free=*/false,
-                           /*reordered_feed=*/false) {}
+        : Architecture("OST", unroll,
+                       outputStationary(unroll, /*zero_free=*/false,
+                                        InputReuse::RasterShift)) {}
 };
 
 } // namespace sim

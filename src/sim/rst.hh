@@ -27,13 +27,9 @@ namespace sim {
 class Rst : public Architecture
 {
   public:
-    explicit Rst(Unroll unroll) : Architecture("RST", unroll) {}
-
-    int
-    numPes() const override
-    {
-        return unroll_.pKy * unroll_.pOy * unroll_.pOf;
-    }
+    explicit Rst(Unroll unroll)
+        : Architecture("RST", unroll, unroll.pKy * unroll.pOy * unroll.pOf)
+    {}
 
   protected:
     /** Gated slots (energy saved while the cycle elapsed) are

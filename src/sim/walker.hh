@@ -93,11 +93,12 @@ enum class InputReuse
 
 /**
  * One dataflow, as a choice over the Table II loop nest. It is the
- * only per-dataflow fact: the walk and the closed form run it, and the
- * PE count, the unroll factors the dataflow reads
- * (sim::unrollFactors) and the loop bounds they must divide
- * (verify::checkUnroll) are read off it. It depends on the unrolling
- * only, never on a job.
+ * only per-dataflow fact: an architecture is a name, an unrolling and
+ * this value, which sim::Architecture stores at construction. The
+ * walk and the closed form run it, and the PE count, the unroll
+ * factors the dataflow reads (sim::unrollFactors) and the loop bounds
+ * they must divide (verify::checkUnroll) are read off it. It depends
+ * on the unrolling only, never on a job.
  */
 struct Dataflow
 {

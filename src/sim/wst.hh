@@ -27,9 +27,19 @@ namespace sim {
 class Wst : public Architecture
 {
   public:
-    explicit Wst(Unroll unroll) : Architecture("WST", unroll) {}
-
-    bool dataflow(Dataflow &d) const override;
+    // A pKy x pKx tile of kernel taps stays resident per pass; every
+    // input is broadcast once per input map, and each resident tap it
+    // reaches read-modify-writes its own partial sum in the buffer.
+    explicit Wst(Unroll unroll)
+        : Architecture("WST", unroll,
+                       Dataflow{.pOf = unroll.pOf,
+                                .tiled = Space::Taps,
+                                .tileY = unroll.pKy,
+                                .tileX = unroll.pKx,
+                                .walked = Space::Inputs,
+                                .weights = WeightReuse::Resident,
+                                .inputs = InputReuse::Broadcast,
+                                .psums = WindowKind::WriteThrough}) {}
 };
 
 } // namespace sim

@@ -327,15 +327,13 @@ checkUnroll(core::ArchKind kind, const Unroll &unroll,
 {
     const std::string arch = core::archKindName(kind);
     const auto pe_array = core::makeArch(kind, unroll);
-    sim::Dataflow d;
-    pe_array->dataflow(d);
+    const sim::Dataflow &d = *pe_array->dataflow();
 
     // Which factors the dataflow reads is its shape, not their values
     // (a zero P_if would read as no input-map lanes): ask at unit ones.
-    sim::Dataflow shape;
-    core::makeArch(kind, Unroll{})->dataflow(shape);
+    const auto shape = core::makeArch(kind, Unroll{});
     Factors used, unused;
-    for (const sim::UnrollFactor &f : sim::unrollFactors(shape))
+    for (const sim::UnrollFactor &f : sim::unrollFactors(*shape->dataflow()))
         (f.read ? used : unused).emplace_back(f.name, unroll.*f.member);
 
     reportUnroll(

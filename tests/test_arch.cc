@@ -15,10 +15,12 @@
 #include "core/zfost.hh"
 #include "core/zfwst.hh"
 #include "sim/arch.hh"
+#include "sim/cnv.hh"
 #include "sim/conv_spec.hh"
 #include "sim/nlr.hh"
 #include "sim/output_stationary.hh"
 #include "sim/phase.hh"
+#include "sim/rst.hh"
 #include "sim/wst.hh"
 #include "tensor/tensor.hh"
 #include "stats_helpers.hh"
@@ -30,9 +32,11 @@ using namespace ganacc;
 using core::Zfost;
 using core::Zfwst;
 using sim::Architecture;
+using sim::Cnv;
 using sim::ConvSpec;
 using sim::Nlr;
 using sim::Ost;
+using sim::Rst;
 using sim::RunStats;
 using sim::Unroll;
 using sim::Wst;
@@ -410,8 +414,9 @@ TEST(ArchBasics, RunRejectsMixedNullOperands)
 
 TEST(ArchBasics, PeCountIsTheTableIIProduct)
 {
-    // The PE count is read off the Fig. 4 descriptor; Table II states
-    // it per dataflow as the product of the factors the array unrolls.
+    // The PE count is read off the Fig. 4 descriptor, or passed by the
+    // CNV and RST baselines; Table II states it per dataflow as the
+    // product of the factors the array unrolls.
     for (int x : {1, 2, 3})
         for (int y : {1, 4})
             for (int of : {1, 5}) {
@@ -431,7 +436,31 @@ TEST(ArchBasics, PeCountIsTheTableIIProduct)
                 EXPECT_EQ(Zfost(u, Zfost::WeightOrder::Raster).numPes(),
                           outputs)
                     << u.str();
+                EXPECT_EQ(Cnv(u).numPes(), nlr) << u.str();
+                EXPECT_EQ(Rst(u).numPes(), u.pKy * u.pOy * of) << u.str();
             }
+}
+
+TEST(ArchBasics, OnlyTheBaselinesWithAWalkOfTheirOwnHaveNoDescriptor)
+{
+    const Unroll u{.pIf = 2, .pOf = 3, .pKx = 2, .pKy = 2, .pOx = 2,
+                   .pOy = 2};
+    std::vector<std::unique_ptr<Architecture>> descriptor;
+    descriptor.push_back(std::make_unique<Nlr>(u));
+    descriptor.push_back(
+        std::make_unique<Nlr>(u, Nlr::ZeroPolicy::Execute));
+    descriptor.push_back(std::make_unique<Wst>(u));
+    descriptor.push_back(std::make_unique<Ost>(u));
+    descriptor.push_back(std::make_unique<Zfost>(u));
+    descriptor.push_back(
+        std::make_unique<Zfost>(u, Zfost::WeightOrder::Raster));
+    descriptor.push_back(std::make_unique<Zfwst>(u));
+    for (const auto &arch : descriptor) {
+        ASSERT_NE(arch->dataflow(), nullptr) << arch->name();
+        EXPECT_EQ(arch->dataflow()->pes(), arch->numPes()) << arch->name();
+    }
+    EXPECT_EQ(Cnv(u).dataflow(), nullptr);
+    EXPECT_EQ(Rst(u).dataflow(), nullptr);
 }
 
 } // namespace

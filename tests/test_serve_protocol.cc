@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/unrolling.hh"
@@ -165,6 +166,55 @@ TEST(ServeProtocol, ErrorResponsesRoundTrip)
     EXPECT_FALSE(back.ok);
     EXPECT_EQ(back.error, "spec: oh must be >= 1");
     EXPECT_EQ(serve::encodeResponse(back), wire);
+}
+
+TEST(ServeProtocol, NonPositiveUnrollFactorsAreRefusedAtDecode)
+{
+    // The GA-UNROLL-POSITIVE rule, on spec, network and put requests
+    // alike: a factor the architecture reads must be at least 1.
+    Rng rng(0x0F0F);
+    serve::Request spec;
+    spec.id = 3;
+    spec.kind = core::ArchKind::OST;
+    spec.unroll = sim::Unroll{.pIf = 1, .pOf = 0, .pKx = 1, .pKy = 1,
+                              .pOx = 2, .pOy = 2};
+    spec.hasSpec = true;
+    spec.spec = randomSpec(rng);
+    serve::Request network = spec;
+    network.hasSpec = false;
+    network.model = "mnist-gan";
+    network.family = "D";
+    network.unroll.pOf = 2;
+    network.unroll.pOx = -4;
+    serve::Request put = spec;
+    put.put = true;
+    put.putSimVersion = serve::simulatorVersion();
+
+    const std::pair<const serve::Request *, const char *> bad[] = {
+        {&spec, "P_of = 0 must be at least 1"},
+        {&network, "P_ox = -4 must be at least 1"},
+        {&put, "P_of = 0 must be at least 1"}};
+    for (const auto &[req, factor] : bad) {
+        const std::string wire = serve::encodeRequest(*req);
+        try {
+            serve::decodeRequest(wire);
+            ADD_FAILURE() << "accepted " << wire;
+        } catch (const util::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(factor),
+                      std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find("GA-UNROLL-POSITIVE"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // Only the factors the architecture reads count: OST ignores P_if.
+    serve::Request unused = spec;
+    unused.unroll.pOf = 1;
+    unused.unroll.pIf = 0;
+    EXPECT_EQ(serve::decodeRequest(serve::encodeRequest(unused)).unroll.pIf,
+              0);
 }
 
 TEST(ServeProtocol, MalformedLinesThrow)

@@ -87,9 +87,9 @@ TEST(WalkerProjection, EveryCycleKeysOnceOnCampaignShapes)
             const tensor::Tensor in = sim::makeStreamedInput(spec, rng);
             const tensor::Tensor w = sim::makeStreamedKernel(spec, rng);
             for (const auto &arch : columns) {
-                sim::Dataflow d;
-                ASSERT_TRUE(arch->dataflow(d)) << arch->name();
-                KeyCheck check(sim::cycleProjection(d, spec));
+                const sim::Dataflow *d = arch->dataflow();
+                ASSERT_NE(d, nullptr) << arch->name();
+                KeyCheck check(sim::cycleProjection(*d, spec));
                 arch->setFaultHook(&check);
                 arch->setScheduleRecorder(&check);
                 tensor::Tensor out = sim::makeOutputTensor(spec);

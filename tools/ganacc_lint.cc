@@ -119,8 +119,7 @@ lintSchedule(const gan::GanModel &model, core::ArchKind kind, int st_pes,
         std::vector<sim::ConvSpec> jobs = sim::familyJobs(model, f);
         verify::checkUnroll(kind, u, jobs, report);
         auto arch = core::makeArch(kind, u);
-        sim::Dataflow d;
-        arch->dataflow(d);
+        const sim::Dataflow &d = *arch->dataflow();
 
         // Symbolic schedule-hazard analysis: cheap enough to run on
         // every lint (no cycles walked).
