@@ -39,13 +39,9 @@ main()
                  "(speedup vs improved NLR, DCGAN):\n";
     util::Table t({"phase", "NLR", "NLR-vanilla", "OST", "RST",
                    "ZFOST", "RST gated slots %"});
-    for (auto f : {sim::PhaseFamily::D, sim::PhaseFamily::G,
-                   sim::PhaseFamily::Dw, sim::PhaseFamily::Gw}) {
-        core::BankRole role =
-            (f == sim::PhaseFamily::D || f == sim::PhaseFamily::G)
-                ? core::BankRole::ST
-                : core::BankRole::W;
-        int pes = role == core::BankRole::ST ? 1200 : 480;
+    for (sim::PhaseFamily f : sim::allPhaseFamilies()) {
+        const core::BankRole role = core::bankOf(f);
+        const int pes = core::paperPes(role);
         auto jobs = sim::familyJobs(m, f);
         auto run_kind = [&](core::ArchKind kind) {
             auto arch = core::makeArch(

@@ -32,22 +32,15 @@ main(int argc, char **argv)
         "ZFOST/ZFWST yield the optimal performance among all phases; "
         "OST loses ~4x on zero-inserted phases; WST obeys eq. (5)");
 
-    const sim::PhaseFamily families[] = {
-        sim::PhaseFamily::D, sim::PhaseFamily::G, sim::PhaseFamily::Dw,
-        sim::PhaseFamily::Gw};
-
     for (const auto &m : gan::allModels()) {
         std::cout << "\n" << m.name
                   << " (speedup normalized to improved NLR; ST phases "
                      "on 1200 PEs, W phases on 480)\n";
         util::Table t({"phase", "NLR", "WST", "OST", "ZFOST", "ZFWST",
                        "best"});
-        for (sim::PhaseFamily f : families) {
-            core::BankRole role =
-                (f == sim::PhaseFamily::D || f == sim::PhaseFamily::G)
-                    ? core::BankRole::ST
-                    : core::BankRole::W;
-            int pes = role == core::BankRole::ST ? 1200 : 480;
+        for (sim::PhaseFamily f : sim::allPhaseFamilies()) {
+            const core::BankRole role = core::bankOf(f);
+            const int pes = core::paperPes(role);
             auto jobs = sim::familyJobs(m, f);
 
             std::uint64_t nlr_cycles = 0;

@@ -33,16 +33,9 @@ main(int argc, char **argv)
                   "streams every operand every cycle");
 
     gan::GanModel m = gan::makeDcgan();
-    const sim::PhaseFamily families[] = {
-        sim::PhaseFamily::D, sim::PhaseFamily::G, sim::PhaseFamily::Dw,
-        sim::PhaseFamily::Gw};
-
-    for (sim::PhaseFamily f : families) {
-        core::BankRole role =
-            (f == sim::PhaseFamily::D || f == sim::PhaseFamily::G)
-                ? core::BankRole::ST
-                : core::BankRole::W;
-        int pes = role == core::BankRole::ST ? 1200 : 480;
+    for (sim::PhaseFamily f : sim::allPhaseFamilies()) {
+        const core::BankRole role = core::bankOf(f);
+        const int pes = core::paperPes(role);
         auto jobs = sim::familyJobs(m, f);
         std::cout << "\nPhase family " << sim::phaseFamilyName(f)
                   << " (accesses in millions):\n";

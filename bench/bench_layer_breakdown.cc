@@ -29,15 +29,11 @@ main()
         std::cout << "\n===== " << m.name << " =====\n";
         for (sim::Phase p : sim::allPhases()) {
             auto fam = sim::familyOf(p);
-            core::BankRole role =
-                (fam == sim::PhaseFamily::Dw ||
-                 fam == sim::PhaseFamily::Gw)
-                    ? core::BankRole::W
-                    : core::BankRole::ST;
+            const core::BankRole role = core::bankOf(fam);
             core::ArchKind kind = role == core::BankRole::W
                                       ? core::ArchKind::ZFWST
                                       : core::ArchKind::ZFOST;
-            int pes = role == core::BankRole::W ? 480 : 1200;
+            const int pes = core::paperPes(role);
             auto arch = core::makeArch(
                 kind, core::paperUnroll(kind, role, fam, pes));
             auto jobs = sim::phaseJobs(m, p);

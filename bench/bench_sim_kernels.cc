@@ -29,13 +29,9 @@ simulateFamily(benchmark::State &state, core::ArchKind kind,
 {
     sim::ScopedSimEngine eng(engine);
     gan::GanModel m = gan::makeDcgan();
-    core::BankRole role =
-        (family == sim::PhaseFamily::D || family == sim::PhaseFamily::G)
-            ? core::BankRole::ST
-            : core::BankRole::W;
-    int pes = role == core::BankRole::ST ? 1200 : 480;
-    auto arch =
-        core::makeArch(kind, core::paperUnroll(kind, role, family, pes));
+    const core::BankRole role = core::bankOf(family);
+    auto arch = core::makeArch(
+        kind, core::paperUnroll(kind, role, family, core::paperPes(role)));
     auto jobs = sim::familyJobs(m, family);
     std::uint64_t cycles = 0;
     for (auto _ : state) {

@@ -64,19 +64,6 @@ main(int argc, char **argv)
     // for; 5x5 kernels).
     gan::GanModel dcgan = gan::makeDcgan();
 
-    struct Row
-    {
-        sim::PhaseFamily family;
-        core::BankRole role;
-        int pes;
-    };
-    const Row rows[] = {
-        {sim::PhaseFamily::D, core::BankRole::ST, 1200},
-        {sim::PhaseFamily::G, core::BankRole::ST, 1200},
-        {sim::PhaseFamily::Dw, core::BankRole::W, 480},
-        {sim::PhaseFamily::Gw, core::BankRole::W, 480},
-    };
-
     // One work item per (bank row, architecture): the exhaustive
     // solver dominates the runtime, so the parallel map spreads the
     // 20 searches across the workers; results land by index and print
@@ -87,25 +74,26 @@ main(int argc, char **argv)
         std::uint64_t paperCycles = 0, solverCycles = 0;
         int solverPes = 0;
     };
+    const auto families = sim::allPhaseFamilies();
     const auto kinds = core::allArchKinds();
-    std::vector<std::pair<const Row *, core::ArchKind>> work;
-    for (const Row &row : rows)
+    std::vector<std::pair<sim::PhaseFamily, core::ArchKind>> work;
+    for (sim::PhaseFamily family : families)
         for (core::ArchKind kind : kinds)
-            work.emplace_back(&row, kind);
+            work.emplace_back(family, kind);
 
     auto cells = util::parallelMap(
         work,
-        [&](const std::pair<const Row *, core::ArchKind> &w) {
-            const Row &row = *w.first;
-            core::ArchKind kind = w.second;
-            auto probe = sim::familyJobs(dcgan, row.family);
-            auto paper =
-                core::paperUnroll(kind, row.role, row.family, row.pes);
+        [&](const std::pair<sim::PhaseFamily, core::ArchKind> &w) {
+            const auto [family, kind] = w;
+            const core::BankRole role = core::bankOf(family);
+            const int pes = core::paperPes(role);
+            auto probe = sim::familyJobs(dcgan, family);
+            auto paper = core::paperUnroll(kind, role, family, pes);
             auto paper_arch = core::makeArch(kind, paper);
             Cell c;
             for (const auto &j : probe)
                 c.paperCycles += paper_arch->run(j).cycles;
-            auto solved = core::solveUnrolling(kind, row.pes, probe, 8);
+            auto solved = core::solveUnrolling(kind, pes, probe, 8);
             c.paperUnroll = unrollStr(kind, paper);
             c.solverUnroll = unrollStr(kind, solved.unroll);
             c.solverCycles = solved.cycles;
@@ -115,11 +103,11 @@ main(int argc, char **argv)
         jobs);
 
     std::size_t idx = 0;
-    for (const Row &row : rows) {
-        std::cout << "\nPhase family " << sim::phaseFamilyName(row.family)
-                  << " on the "
-                  << (row.role == core::BankRole::ST ? "ST" : "W")
-                  << " bank (" << row.pes << " PEs):\n";
+    for (sim::PhaseFamily family : families) {
+        const core::BankRole role = core::bankOf(family);
+        std::cout << "\nPhase family " << sim::phaseFamilyName(family)
+                  << " on the " << core::bankRoleName(role) << " bank ("
+                  << core::paperPes(role) << " PEs):\n";
         util::Table t({"arch", "paper unrolling", "paper cycles",
                        "solver unrolling", "solver cycles", "solver PEs"});
         for (core::ArchKind kind : kinds) {

@@ -26,8 +26,7 @@ main()
         std::cout << "\n" << m.name << "\n";
         util::Table t({"phase family", "dense GMACs",
                        "effective GMACs", "ineffectual %"});
-        for (auto f : {sim::PhaseFamily::D, sim::PhaseFamily::G,
-                       sim::PhaseFamily::Dw, sim::PhaseFamily::Gw}) {
+        for (sim::PhaseFamily f : sim::allPhaseFamilies()) {
             auto jobs = sim::familyJobs(m, f);
             double dense = double(sim::totalDenseMacs(jobs));
             double eff = double(sim::totalEffectiveMacs(jobs));

@@ -17,15 +17,17 @@
 #include "sched/design.hh"
 #include "sched/event_sim.hh"
 #include "util/args.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 
 int
 main(int argc, char **argv)
-{
+try {
     using namespace ganacc;
     util::ArgParser args(argc, argv);
     std::string model_name = args.getString(
-        "model", "dcgan", "network: mnist | dcgan | cgan");
+        "model", "dcgan",
+        "network: dcgan | mnist-gan | cgan | context-encoder");
     double gbps = args.getDouble("gbps", 192.0,
                                  "off-chip bandwidth in Gbit/s");
     double mhz = args.getDouble("mhz", 200.0, "PE clock in MHz");
@@ -41,13 +43,7 @@ main(int argc, char **argv)
     }
     args.finish();
 
-    gan::GanModel model = model_name == "mnist" ? gan::makeMnistGan()
-                          : model_name == "cgan" ? gan::makeCgan()
-                          : model_name == "dcgan"
-                              ? gan::makeDcgan()
-                              : (util::fatal("unknown --model '",
-                                             model_name, "'"),
-                                 gan::makeDcgan());
+    const gan::GanModel model = gan::modelByName(model_name);
 
     core::AcceleratorConfig cfg;
     cfg.offchip.bandwidthBitsPerSec = gbps * 1e9;
@@ -105,4 +101,7 @@ main(int argc, char **argv)
         }
     }
     return 0;
+} catch (const ganacc::util::FatalError &e) {
+    std::cerr << "ganacc_report: " << e.what() << "\n";
+    return 2;
 }

@@ -61,6 +61,26 @@ archKindFromName(const std::string &name)
     return std::nullopt;
 }
 
+BankRole
+bankOf(PhaseFamily family)
+{
+    return family == PhaseFamily::Dw || family == PhaseFamily::Gw
+               ? BankRole::W
+               : BankRole::ST;
+}
+
+int
+paperPes(BankRole role)
+{
+    return role == BankRole::ST ? 1200 : 480;
+}
+
+std::string
+bankRoleName(BankRole role)
+{
+    return role == BankRole::ST ? "ST" : "W";
+}
+
 std::unique_ptr<Architecture>
 makeArch(ArchKind kind, Unroll unroll)
 {

@@ -50,6 +50,16 @@ enum class BankRole
     W,  ///< the W-CONV bank (480 PEs)
 };
 
+/** The bank that runs a phase family in the paper's design (Table V):
+ *  D and G on the ST bank, Dw and Gw on the W bank. */
+BankRole bankOf(sim::PhaseFamily family);
+
+/** The paper's PE count of a bank: 1200 for ST, 480 for W. */
+int paperPes(BankRole role);
+
+/** "ST" or "W". */
+std::string bankRoleName(BankRole role);
+
 /** Instantiate an architecture with a given unrolling. */
 std::unique_ptr<sim::Architecture> makeArch(ArchKind kind,
                                             sim::Unroll unroll);

@@ -32,20 +32,14 @@ using sim::ConvSpec;
 using sim::PhaseFamily;
 using tensor::Tensor;
 
-/** One Table V evaluation row: a phase family on its PE bank. */
-struct Row
+/** A Table V evaluation row is a phase family on its PE bank, named
+ *  "D/ST", "G/ST", "Dw/W" or "Gw/W". */
+std::string
+rowName(PhaseFamily family)
 {
-    PhaseFamily family;
-    BankRole role;
-    const char *name;
-};
-
-constexpr Row kRows[] = {
-    {PhaseFamily::D, BankRole::ST, "D/ST"},
-    {PhaseFamily::G, BankRole::ST, "G/ST"},
-    {PhaseFamily::Dw, BankRole::W, "Dw/W"},
-    {PhaseFamily::Gw, BankRole::W, "Gw/W"},
-};
+    return sim::phaseFamilyName(family) + "/" +
+           core::bankRoleName(core::bankOf(family));
+}
 
 /** An architecture column of the campaign matrix. */
 struct Column
@@ -71,12 +65,13 @@ buildColumns(bool nlr_skip_ablation)
 }
 
 std::unique_ptr<sim::Architecture>
-buildArch(const Column &col, const Row &row, const CampaignOptions &opt)
+buildArch(const Column &col, PhaseFamily family,
+          const CampaignOptions &opt)
 {
-    const int budget =
-        row.role == BankRole::ST ? opt.stBudget : opt.wBudget;
+    const BankRole role = core::bankOf(family);
+    const int budget = role == BankRole::ST ? opt.stBudget : opt.wBudget;
     const sim::Unroll unroll =
-        core::paperUnroll(col.kind, row.role, row.family, budget);
+        core::paperUnroll(col.kind, role, family, budget);
     if (col.vanillaNlr)
         return std::make_unique<sim::Nlr>(unroll,
                                           sim::Nlr::ZeroPolicy::Execute);
@@ -96,11 +91,12 @@ struct JobData
 std::vector<std::vector<JobData>>
 buildRowJobs(const gan::GanModel &model, const CampaignOptions &opt)
 {
+    const std::vector<PhaseFamily> families = sim::allPhaseFamilies();
     std::vector<std::vector<JobData>> rows;
-    rows.reserve(std::size(kRows));
+    rows.reserve(families.size());
     std::vector<JobData *> todo;
-    for (std::size_t r = 0; r < std::size(kRows); ++r) {
-        const auto jobs = sim::familyJobs(model, kRows[r].family);
+    for (std::size_t r = 0; r < families.size(); ++r) {
+        const auto jobs = sim::familyJobs(model, families[r]);
         std::vector<JobData> &row = rows.emplace_back(jobs.size());
         for (std::size_t j = 0; j < jobs.size(); ++j) {
             row[j].spec = jobs[j];
@@ -147,18 +143,18 @@ struct SqErr
 };
 
 CellResult
-runCell(const Column &col, const Row &row,
+runCell(const Column &col, PhaseFamily family,
         const std::vector<JobData> &jobs, const FaultPlan &plan,
         const CampaignOptions &opt)
 {
     CellResult cell;
     cell.arch = col.name;
-    cell.row = row.name;
+    cell.row = rowName(family);
 
     obs::Span span("fault.cell", "fault",
                    "{\"arch\":\"" + col.name + "\",\"row\":\"" +
-                       row.name + "\"}");
-    const auto arch = buildArch(col, row, opt);
+                       cell.row + "\"}");
+    const auto arch = buildArch(col, family, opt);
     FaultInjector injector(plan);
     // CNV-style value inspection is not part of this matrix; every
     // column here supports timing+functional runs with the hook.
@@ -217,8 +213,9 @@ runResilienceCampaign(const gan::GanModel &model, const FaultPlan &plan,
         std::size_t row;
         std::size_t col;
     };
+    const std::vector<PhaseFamily> families = sim::allPhaseFamilies();
     std::vector<CellTask> tasks;
-    for (std::size_t r = 0; r < std::size(kRows); ++r)
+    for (std::size_t r = 0; r < families.size(); ++r)
         for (std::size_t c = 0; c < columns.size(); ++c)
             tasks.push_back({r, c});
 
@@ -226,7 +223,7 @@ runResilienceCampaign(const gan::GanModel &model, const FaultPlan &plan,
     result.cells = util::parallelMap(
         tasks,
         [&](const CellTask &t) {
-            return runCell(columns[t.col], kRows[t.row],
+            return runCell(columns[t.col], families[t.row],
                            row_jobs[t.row], plan, opt);
         },
         opt.jobs);
@@ -237,7 +234,7 @@ runResilienceCampaign(const gan::GanModel &model, const FaultPlan &plan,
         s.arch = columns[c].name;
         double mac_acc = 0.0, mem_acc = 0.0;
         std::uint64_t mac_n = 0, mem_n = 0;
-        for (std::size_t r = 0; r < std::size(kRows); ++r) {
+        for (std::size_t r = 0; r < families.size(); ++r) {
             const CellResult &cell =
                 result.cells[r * columns.size() + c];
             s.armed += cell.mac.armed;

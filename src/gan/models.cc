@@ -300,6 +300,21 @@ allModels()
     return {makeMnistGan(), makeDcgan(), makeCgan()};
 }
 
+GanModel
+modelByName(const std::string &name)
+{
+    if (name == "dcgan")
+        return makeDcgan();
+    if (name == "mnist-gan")
+        return makeMnistGan();
+    if (name == "cgan")
+        return makeCgan();
+    if (name == "context-encoder")
+        return makeContextEncoder();
+    util::fatal("unknown model \"", name,
+                "\" (dcgan, mnist-gan, cgan, context-encoder)");
+}
+
 std::unique_ptr<nn::ConvLayerBase>
 instantiateLayer(const LayerSpec &spec)
 {

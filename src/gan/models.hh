@@ -117,6 +117,13 @@ GanModel makeContextEncoder();
 /** All three evaluation networks, in paper order. */
 std::vector<GanModel> allModels();
 
+/**
+ * The bundled network a tool or request names: "dcgan", "mnist-gan",
+ * "cgan" or "context-encoder" (exact spelling). Fails with
+ * `unknown model "x" (dcgan, mnist-gan, cgan, context-encoder)`.
+ */
+GanModel modelByName(const std::string &name);
+
 /** Instantiate a trainable layer from its spec (weights unset). */
 std::unique_ptr<nn::ConvLayerBase> instantiateLayer(const LayerSpec &spec);
 

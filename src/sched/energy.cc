@@ -52,10 +52,7 @@ sim::RunStats
 bankPhaseStats(const Design &design, const GanModel &model, Phase p)
 {
     auto fam = sim::familyOf(p);
-    BankRole role = (fam == sim::PhaseFamily::Dw ||
-                     fam == sim::PhaseFamily::Gw)
-                        ? BankRole::W
-                        : BankRole::ST;
+    BankRole role = core::bankOf(fam);
     core::ArchKind kind =
         role == BankRole::W ? design.wKind() : design.stKind();
     int pes = role == BankRole::W ? design.wPes() : design.stPes();

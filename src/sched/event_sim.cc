@@ -28,11 +28,7 @@ namespace {
 std::vector<std::uint64_t>
 perLayerCycles(const Design &design, const GanModel &model, Phase p)
 {
-    BankRole role =
-        (sim::familyOf(p) == sim::PhaseFamily::Dw ||
-         sim::familyOf(p) == sim::PhaseFamily::Gw)
-            ? BankRole::W
-            : BankRole::ST;
+    BankRole role = core::bankOf(sim::familyOf(p));
     core::ArchKind kind =
         role == BankRole::W ? design.wKind() : design.stKind();
     int pes = role == BankRole::W ? design.wPes() : design.stPes();

@@ -34,36 +34,6 @@ flightKey(const Request &req)
            req.family;
 }
 
-gan::GanModel
-modelByName(const std::string &name)
-{
-    if (name == "dcgan")
-        return gan::makeDcgan();
-    if (name == "mnist-gan")
-        return gan::makeMnistGan();
-    if (name == "cgan")
-        return gan::makeCgan();
-    if (name == "context-encoder")
-        return gan::makeContextEncoder();
-    util::fatal("unknown model \"", name,
-                "\" (dcgan, mnist-gan, cgan, context-encoder)");
-}
-
-sim::PhaseFamily
-familyByName(const std::string &name)
-{
-    if (name == "D")
-        return sim::PhaseFamily::D;
-    if (name == "G")
-        return sim::PhaseFamily::G;
-    if (name == "Dw")
-        return sim::PhaseFamily::Dw;
-    if (name == "Gw")
-        return sim::PhaseFamily::Gw;
-    util::fatal("unknown phase family \"", name,
-                "\" (D, G, Dw, Gw)");
-}
-
 /** sim > disk > mem: an aggregate is only as warm as its coldest job. */
 int
 coldness(core::CacheOutcome o)
@@ -166,9 +136,9 @@ Engine::executeSpec(const Request &req)
         req.spec.validate();
         rsp.stats = cache.stats(req.kind, req.unroll, req.spec, &worst);
     } else {
-        const gan::GanModel model = modelByName(req.model);
+        const gan::GanModel model = gan::modelByName(req.model);
         const auto jobs =
-            sim::familyJobs(model, familyByName(req.family));
+            sim::familyJobs(model, sim::phaseFamilyFromName(req.family));
         if (jobs.empty())
             util::fatal("model \"", req.model, "\" family \"",
                         req.family, "\" has no jobs");

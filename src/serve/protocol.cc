@@ -5,7 +5,11 @@
 
 #include "serve/protocol.hh"
 
+#include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "util/json.hh"
@@ -20,11 +24,28 @@ namespace {
 
 /** The unrolling of a request, refused when `kind` reads a factor
  *  below 1 (GA-UNROLL-POSITIVE): a zero would divide by zero in the
- *  simulator and a negative one wrap its counters. */
+ *  simulator and a negative one wrap its counters. Also refused when
+ *  the factors `kind` reads multiply past INT_MAX: the PE count is an
+ *  int (sim::Dataflow::pes()), and building the array would overflow
+ *  it, so the product is taken in 64 bits before anything is built. */
 sim::Unroll
 decodeUnroll(core::ArchKind kind, const util::json::Value &v)
 {
     const sim::Unroll u = sim::unrollFromJson(v);
+    // Saturating at 2^31 keeps every step below 2^62: the running
+    // product meets factors of magnitude at most 2^31.
+    std::int64_t pes = 1;
+    for (const sim::UnrollFactor &f : sim::unrollFactors(
+             *core::makeArch(kind, sim::Unroll{})->dataflow()))
+        if (f.read)
+            pes = std::min<std::int64_t>(
+                pes * std::abs(std::int64_t(u.*f.member)),
+                std::int64_t(INT_MAX) + 1);
+    if (pes > INT_MAX)
+        util::fatal(core::archKindName(kind),
+                    " unroll: the PE count (the product of the factors "
+                    "it reads) exceeds ",
+                    INT_MAX);
     verify::Report report;
     verify::checkUnroll(kind, u, {}, report);
     if (const verify::Diagnostic *d =

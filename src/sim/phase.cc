@@ -40,6 +40,13 @@ phaseName(Phase p)
     util::panic("unknown phase");
 }
 
+std::vector<PhaseFamily>
+allPhaseFamilies()
+{
+    return {PhaseFamily::D, PhaseFamily::G, PhaseFamily::Dw,
+            PhaseFamily::Gw};
+}
+
 std::string
 phaseFamilyName(PhaseFamily f)
 {
@@ -54,6 +61,15 @@ phaseFamilyName(PhaseFamily f)
         return "Gw";
     }
     util::panic("unknown phase family");
+}
+
+PhaseFamily
+phaseFamilyFromName(const std::string &name)
+{
+    for (PhaseFamily f : allPhaseFamilies())
+        if (phaseFamilyName(f) == name)
+            return f;
+    util::fatal("unknown phase family \"", name, "\" (D, G, Dw, Gw)");
 }
 
 PhaseFamily

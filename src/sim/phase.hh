@@ -53,7 +53,14 @@ enum class PhaseFamily
     Gw, ///< generator weight update
 };
 
+/** All four families in Fig. 15 order: D, G, Dw, Gw. */
+std::vector<PhaseFamily> allPhaseFamilies();
+
 std::string phaseFamilyName(PhaseFamily f);
+
+/** Inverse of phaseFamilyName (exact spelling); fails with
+ *  `unknown phase family "x" (D, G, Dw, Gw)` otherwise. */
+PhaseFamily phaseFamilyFromName(const std::string &name);
 
 /** Which family a phase belongs to. */
 PhaseFamily familyOf(Phase p);

@@ -593,9 +593,7 @@ checkBaselineSchedule(BaselineKind kind, const Unroll &unroll,
 
 SchedulePrefilter::SchedulePrefilter(const gan::GanModel &model)
 {
-    for (sim::PhaseFamily f :
-         {sim::PhaseFamily::D, sim::PhaseFamily::G, sim::PhaseFamily::Dw,
-          sim::PhaseFamily::Gw})
+    for (sim::PhaseFamily f : sim::allPhaseFamilies())
         families_.push_back({f, sim::familyJobs(model, f)});
 }
 

@@ -134,6 +134,24 @@ TEST(Unrolling, ArchKindNamesRoundTrip)
     EXPECT_EQ(core::allArchKinds().size(), 5u);
 }
 
+TEST(Unrolling, FamiliesRunOnTheirTable5Bank)
+{
+    EXPECT_EQ(core::bankOf(PhaseFamily::D), BankRole::ST);
+    EXPECT_EQ(core::bankOf(PhaseFamily::G), BankRole::ST);
+    EXPECT_EQ(core::bankOf(PhaseFamily::Dw), BankRole::W);
+    EXPECT_EQ(core::bankOf(PhaseFamily::Gw), BankRole::W);
+    EXPECT_EQ(core::bankRoleName(BankRole::ST), "ST");
+    EXPECT_EQ(core::bankRoleName(BankRole::W), "W");
+}
+
+TEST(Unrolling, PaperPesAreTheEq7And8Split)
+{
+    // The bank sizes the accelerator derives from eqs. (7)-(8).
+    const auto design = core::GanAccelerator{}.design();
+    EXPECT_EQ(core::paperPes(BankRole::ST), design.stPes());
+    EXPECT_EQ(core::paperPes(BankRole::W), design.wPes());
+}
+
 // ---------------------------------------------------------------------
 // Resource model (Table III)
 // ---------------------------------------------------------------------

@@ -6,15 +6,40 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "gan/memory_analysis.hh"
 #include "gan/models.hh"
 #include "nn/layers.hh"
+#include "util/logging.hh"
 
 namespace {
 
 using namespace ganacc;
 using gan::GanModel;
 using nn::ConvKind;
+
+TEST(Models, ModelByNameTakesTheCanonicalSpellings)
+{
+    const std::pair<const char *, const char *> names[] = {
+        {"dcgan", "DCGAN"},
+        {"mnist-gan", "MNIST-GAN"},
+        {"cgan", "cGAN"},
+        {"context-encoder", "ContextEncoder"}};
+    for (const auto &[spelling, display] : names)
+        EXPECT_EQ(gan::modelByName(spelling).name, display) << spelling;
+    for (const char *bad : {"x", "mnist", "MNIST-GAN", "contextencoder"}) {
+        try {
+            gan::modelByName(bad);
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const util::FatalError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      std::string("fatal: unknown model \"") + bad +
+                          "\" (dcgan, mnist-gan, cgan, context-encoder)");
+        }
+    }
+}
 
 TEST(Models, DcganMatchesFig1)
 {

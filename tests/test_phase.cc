@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "gan/models.hh"
 #include "nn/conv_ref.hh"
 #include "nn/zero_insert.hh"
 #include "sim/phase.hh"
 #include "tensor/tensor.hh"
+#include "util/logging.hh"
 #include "util/random.hh"
 
 namespace {
@@ -37,6 +41,24 @@ TEST(Phase, NamesAndFamilies)
     EXPECT_EQ(sim::familyOf(Phase::DiscWeight), PhaseFamily::Dw);
     EXPECT_EQ(sim::familyOf(Phase::GenWeight), PhaseFamily::Gw);
     EXPECT_EQ(sim::allPhases().size(), 6u);
+}
+
+TEST(Phase, FamilyNamesRoundTrip)
+{
+    const std::vector<PhaseFamily> families = sim::allPhaseFamilies();
+    ASSERT_EQ(families.size(), 4u);
+    for (PhaseFamily f : families)
+        EXPECT_EQ(sim::phaseFamilyFromName(sim::phaseFamilyName(f)), f);
+    for (const char *bad : {"x", "d", "DW", "D "}) {
+        try {
+            sim::phaseFamilyFromName(bad);
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const util::FatalError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      std::string("fatal: unknown phase family \"") + bad +
+                          "\" (D, G, Dw, Gw)");
+        }
+    }
 }
 
 TEST(Phase, JobCountsPerPhase)

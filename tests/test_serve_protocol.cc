@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -215,6 +216,28 @@ TEST(ServeProtocol, NonPositiveUnrollFactorsAreRefusedAtDecode)
     unused.unroll.pIf = 0;
     EXPECT_EQ(serve::decodeRequest(serve::encodeRequest(unused)).unroll.pIf,
               0);
+
+    // Positive factors whose product (the PE count) does not fit in an
+    // int are refused too; the largest product that fits is accepted,
+    // and a huge unread factor does not count.
+    serve::Request overflow = spec;
+    overflow.unroll = sim::Unroll{.pIf = 1, .pOf = 2, .pKx = 1, .pKy = 1,
+                                  .pOx = 65536, .pOy = 65536};
+    try {
+        serve::decodeRequest(serve::encodeRequest(overflow));
+        ADD_FAILURE() << "accepted a 2^33-PE OST unrolling";
+    } catch (const util::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "OST unroll: the PE count (the product of the "
+                      "factors it reads) exceeds 2147483647"),
+                  std::string::npos)
+            << e.what();
+    }
+    serve::Request largest = spec;
+    largest.unroll = sim::Unroll{.pIf = 1 << 30, .pOf = INT_MAX,
+                                 .pKx = 1, .pKy = 1, .pOx = 1, .pOy = 1};
+    EXPECT_EQ(serve::decodeRequest(serve::encodeRequest(largest)).unroll.pOf,
+              INT_MAX);
 }
 
 TEST(ServeProtocol, MalformedLinesThrow)

@@ -373,6 +373,33 @@ TEST_F(ServeServiceTest, NetworkRequestsMatchAccumulatedDirectRun)
     engine.drain();
 }
 
+TEST_F(ServeServiceTest, UnknownModelAndFamilyAreAnsweredWithTheirNames)
+{
+    serve::EngineOptions opts;
+    opts.jobs = 1;
+    serve::Engine engine(opts);
+
+    serve::Request req;
+    req.id = 7;
+    req.kind = core::ArchKind::ZFOST;
+    req.unroll = core::paperUnroll(req.kind, core::BankRole::ST,
+                                   sim::PhaseFamily::D, 1200);
+    req.model = "mnist";
+    req.family = "D";
+    serve::Response rsp = engine.handle(req);
+    EXPECT_FALSE(rsp.ok);
+    EXPECT_EQ(rsp.error, "fatal: unknown model \"mnist\" (dcgan, "
+                         "mnist-gan, cgan, context-encoder)");
+
+    req.model = "mnist-gan";
+    req.family = "Dx";
+    rsp = engine.handle(req);
+    EXPECT_FALSE(rsp.ok);
+    EXPECT_EQ(rsp.error,
+              "fatal: unknown phase family \"Dx\" (D, G, Dw, Gw)");
+    engine.drain();
+}
+
 TEST_F(ServeServiceTest, StatsProbeAnswersWithLiveTelemetry)
 {
     serve::EngineOptions opts;

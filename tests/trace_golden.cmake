@@ -7,7 +7,7 @@
 # (committed trace), OUT (scratch output path).
 
 execute_process(
-    COMMAND ${TOOL} --model mnist --trace ${OUT}
+    COMMAND ${TOOL} --model mnist-gan --trace ${OUT}
     OUTPUT_QUIET
     RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
@@ -21,5 +21,5 @@ if(NOT diff EQUAL 0)
     message(FATAL_ERROR
         "Chrome trace diverges from ${GOLDEN}; inspect ${OUT} and, if "
         "the change is intended, regenerate the golden with: "
-        "ganacc_report --model mnist --trace <golden>")
+        "ganacc_report --model mnist-gan --trace <golden>")
 endif()

@@ -68,87 +68,39 @@ namespace {
 
 using namespace ganacc;
 
-/** The Table V (family, bank, arch) matrix as network requests. */
-std::vector<serve::Request>
-table5Requests(const std::string &model)
-{
-    struct Row
-    {
-        sim::PhaseFamily family;
-        const char *name;
-        core::BankRole role;
-        int pes;
-    };
-    const Row rows[] = {
-        {sim::PhaseFamily::D, "D", core::BankRole::ST, 1200},
-        {sim::PhaseFamily::G, "G", core::BankRole::ST, 1200},
-        {sim::PhaseFamily::Dw, "Dw", core::BankRole::W, 480},
-        {sim::PhaseFamily::Gw, "Gw", core::BankRole::W, 480},
-    };
-    std::vector<serve::Request> reqs;
-    std::uint64_t id = 1;
-    for (const Row &row : rows) {
-        for (core::ArchKind kind : core::allArchKinds()) {
-            serve::Request req;
-            req.id = id++;
-            req.kind = kind;
-            req.unroll =
-                core::paperUnroll(kind, row.role, row.family, row.pes);
-            req.model = model;
-            req.family = row.name;
-            reqs.push_back(req);
-        }
-    }
-    return reqs;
-}
-
 /**
- * The same Table V matrix broken down into single-job spec requests:
- * one request per (family, arch, layer) with the layer's ConvSpec
- * inlined. Unlike the model/family form the daemon treats each line
- * as an independent simulation job, so a fleet replay of this file
+ * The Table V (family, bank, arch) matrix as network requests, or,
+ * with `specs`, broken down into single-job spec requests: one per
+ * (family, arch, layer) with the layer's ConvSpec inlined. Unlike the
+ * model/family form the daemon treats each spec line as an
+ * independent simulation job, so a fleet replay of that file
  * exercises the replication path (fresh spec results are `put` to
  * replica shards; model-form requests never replicate).
  */
 std::vector<serve::Request>
-specRequests(const std::string &model_name)
+table5Requests(const std::string &model_name, bool specs)
 {
-    gan::GanModel model;
-    if (model_name == "dcgan")
-        model = gan::makeDcgan();
-    else if (model_name == "mnist-gan")
-        model = gan::makeMnistGan();
-    else if (model_name == "cgan")
-        model = gan::makeCgan();
-    else
-        util::fatal("--emit specs: unknown model '", model_name,
-                    "' (dcgan, mnist-gan, cgan)");
-
-    struct Row
-    {
-        sim::PhaseFamily family;
-        core::BankRole role;
-        int pes;
-    };
-    const Row rows[] = {
-        {sim::PhaseFamily::D, core::BankRole::ST, 1200},
-        {sim::PhaseFamily::G, core::BankRole::ST, 1200},
-        {sim::PhaseFamily::Dw, core::BankRole::W, 480},
-        {sim::PhaseFamily::Gw, core::BankRole::W, 480},
-    };
+    const gan::GanModel model = gan::modelByName(model_name);
     std::vector<serve::Request> reqs;
-    std::uint64_t id = 1;
-    for (const Row &row : rows) {
+    for (sim::PhaseFamily family : sim::allPhaseFamilies()) {
+        const core::BankRole role = core::bankOf(family);
         const std::vector<sim::ConvSpec> jobs =
-            sim::familyJobs(model, row.family);
+            sim::familyJobs(model, family);
         for (core::ArchKind kind : core::allArchKinds()) {
+            serve::Request req;
+            req.kind = kind;
+            req.unroll = core::paperUnroll(kind, role, family,
+                                           core::paperPes(role));
+            if (!specs) {
+                req.id = reqs.size() + 1;
+                req.model = model_name;
+                req.family = sim::phaseFamilyName(family);
+                reqs.push_back(req);
+                continue;
+            }
+            req.hasSpec = true;
             for (const sim::ConvSpec &job : jobs) {
-                serve::Request req;
-                req.id = id++;
-                req.kind = kind;
-                req.unroll = core::paperUnroll(kind, row.role,
-                                               row.family, row.pes);
-                req.hasSpec = true;
+                req.id = reqs.size() + 1;
                 req.spec = job;
                 reqs.push_back(req);
             }
@@ -227,15 +179,10 @@ try {
     args.finish();
 
     if (!emit.empty()) {
-        std::vector<serve::Request> reqs;
-        if (emit == "table5")
-            reqs = table5Requests(model_name);
-        else if (emit == "specs")
-            reqs = specRequests(model_name);
-        else
+        if (emit != "table5" && emit != "specs")
             util::fatal("unknown --emit mode '", emit,
                         "' (table5, specs)");
-        for (const auto &req : reqs)
+        for (const auto &req : table5Requests(model_name, emit == "specs"))
             std::cout << serve::encodeRequest(req) << "\n";
         return 0;
     }
@@ -377,21 +324,11 @@ try {
     serve::Request req;
     req.id = 1;
     req.kind = *kind;
-    const bool st_family = family_name == "D" || family_name == "G";
-    sim::PhaseFamily family;
-    if (family_name == "D")
-        family = sim::PhaseFamily::D;
-    else if (family_name == "G")
-        family = sim::PhaseFamily::G;
-    else if (family_name == "Dw")
-        family = sim::PhaseFamily::Dw;
-    else if (family_name == "Gw")
-        family = sim::PhaseFamily::Gw;
-    else
-        util::fatal("unknown family '", family_name, "'");
-    req.unroll = core::paperUnroll(
-        *kind, st_family ? core::BankRole::ST : core::BankRole::W,
-        family, st_family ? 1200 : 480);
+    const sim::PhaseFamily family =
+        sim::phaseFamilyFromName(family_name);
+    const core::BankRole role = core::bankOf(family);
+    req.unroll =
+        core::paperUnroll(*kind, role, family, core::paperPes(role));
     req.model = model_name;
     req.family = family_name;
     serve::Response rsp =

@@ -37,21 +37,6 @@ namespace {
 
 using namespace ganacc;
 
-gan::GanModel
-pickModel(const std::string &name)
-{
-    if (name == "dcgan")
-        return gan::makeDcgan();
-    if (name == "mnist-gan")
-        return gan::makeMnistGan();
-    if (name == "cgan")
-        return gan::makeCgan();
-    if (name == "context-encoder")
-        return gan::makeContextEncoder();
-    util::fatal("unknown model '", name,
-                "' (dcgan, mnist-gan, cgan, context-encoder)");
-}
-
 void
 printText(const fault::CampaignResult &result, bool memory_active)
 {
@@ -201,7 +186,7 @@ try {
     if (format != "text" && format != "json")
         util::fatal("unknown --format '", format, "' (text, json)");
 
-    const gan::GanModel model = pickModel(model_name);
+    const gan::GanModel model = gan::modelByName(model_name);
 
     fault::FaultPlan plan;
     if (!plan_file.empty()) {

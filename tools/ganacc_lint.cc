@@ -17,8 +17,8 @@
  */
 
 #include <algorithm>
-#include <cctype>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,61 +37,15 @@ namespace {
 
 using namespace ganacc;
 
-std::string
-lowered(std::string s)
-{
-    std::string out;
-    for (char c : s)
-        if (c != '-' && c != '_')
-            out.push_back(char(std::tolower(unsigned(c))));
-    return out;
-}
-
+/** The networks --model names: one bundled network, or all four. */
 std::vector<gan::GanModel>
 selectModels(const std::string &name)
 {
+    if (name != "all")
+        return {gan::modelByName(name)};
     std::vector<gan::GanModel> all = gan::allModels();
     all.push_back(gan::makeContextEncoder());
-    if (lowered(name) == "all")
-        return all;
-    for (gan::GanModel &m : all)
-        if (lowered(m.name) == lowered(name))
-            return {std::move(m)};
-    util::fatal("unknown model '", name,
-                "' (try dcgan, mnist-gan, cgan, contextencoder, all)");
-}
-
-bool
-parseArchKind(const std::string &name, core::ArchKind &kind)
-{
-    for (core::ArchKind k : core::allArchKinds())
-        if (lowered(core::archKindName(k)) == lowered(name)) {
-            kind = k;
-            return true;
-        }
-    return false;
-}
-
-bool
-parseBaselineKind(const std::string &name, verify::BaselineKind &kind)
-{
-    if (lowered(name) == "cnv") {
-        kind = verify::BaselineKind::CNV;
-        return true;
-    }
-    if (lowered(name) == "rst") {
-        kind = verify::BaselineKind::RST;
-        return true;
-    }
-    return false;
-}
-
-core::BankRole
-familyRole(sim::PhaseFamily f)
-{
-    return (f == sim::PhaseFamily::Dw || f == sim::PhaseFamily::Gw)
-               ? core::BankRole::W
-               : core::BankRole::ST;
+    return all;
 }
 
 /** True when the walk of `d` (and so the schedule derivations)
@@ -110,10 +64,8 @@ lintSchedule(const gan::GanModel &model, core::ArchKind kind, int st_pes,
              const verify::PortBudget &port_budget,
              verify::Report &report)
 {
-    using sim::PhaseFamily;
-    for (PhaseFamily f : {PhaseFamily::D, PhaseFamily::G,
-                          PhaseFamily::Dw, PhaseFamily::Gw}) {
-        const core::BankRole role = familyRole(f);
+    for (sim::PhaseFamily f : sim::allPhaseFamilies()) {
+        const core::BankRole role = core::bankOf(f);
         const int budget = role == core::BankRole::W ? w_pes : st_pes;
         sim::Unroll u = core::paperUnroll(kind, role, f, budget);
         std::vector<sim::ConvSpec> jobs = sim::familyJobs(model, f);
@@ -163,9 +115,7 @@ lintBaselineSchedule(const gan::GanModel &model,
         u.pOy = 4;
         u.pOf = std::max(1, st_pes / 16);
     }
-    using sim::PhaseFamily;
-    for (PhaseFamily f : {PhaseFamily::D, PhaseFamily::G,
-                          PhaseFamily::Dw, PhaseFamily::Gw}) {
+    for (sim::PhaseFamily f : sim::allPhaseFamilies()) {
         std::vector<sim::ConvSpec> jobs = sim::familyJobs(model, f);
         verify::checkBaselineUnroll(kind, u, jobs, report);
         if (!check_schedule)
@@ -207,7 +157,7 @@ try {
     util::ArgParser args(argc, argv);
     const std::string model_name = args.getString(
         "model", "all",
-        "network to lint (dcgan, mnist-gan, cgan, contextencoder, all)");
+        "network to lint (dcgan, mnist-gan, cgan, context-encoder, all)");
     const std::string format =
         args.getString("format", "text", "output format (text, json)");
     const std::string arch_name = args.getString(
@@ -260,16 +210,15 @@ try {
         util::fatal("unknown --format '", format, "'");
     if (fail_on != "error" && fail_on != "warning")
         util::fatal("unknown --fail-on '", fail_on, "'");
-    core::ArchKind kind = core::ArchKind::ZFOST;
-    verify::BaselineKind baseline = verify::BaselineKind::CNV;
     const bool have_arch = !arch_name.empty();
-    bool is_baseline = false;
-    if (have_arch && !parseArchKind(arch_name, kind)) {
-        if (parseBaselineKind(arch_name, baseline))
-            is_baseline = true;
-        else
-            util::fatal("unknown --arch '", arch_name, "'");
-    }
+    const std::optional<core::ArchKind> kind =
+        core::archKindFromName(arch_name);
+    const bool is_baseline = arch_name == "cnv" || arch_name == "rst";
+    const verify::BaselineKind baseline = arch_name == "rst"
+                                              ? verify::BaselineKind::RST
+                                              : verify::BaselineKind::CNV;
+    if (have_arch && !kind && !is_baseline)
+        util::fatal("unknown --arch '", arch_name, "'");
     if (check_bounds && !have_arch)
         util::fatal("--check-bounds needs --arch");
     if (check_bounds && is_baseline)
@@ -293,10 +242,10 @@ try {
     opts.range.sigmaK = sigma_k;
     opts.range.fracBits = frac_bits;
     opts.range.weightBound = weight_bound;
-    if (lowered(weight_model) == "fixed")
+    if (weight_model == "fixed")
         opts.range.weights =
             verify::RangeOptions::WeightModel::FixedBound;
-    else if (lowered(weight_model) != "kaiming")
+    else if (weight_model != "kaiming")
         util::fatal("unknown --weight-model '", weight_model, "'");
 
     int errors = 0, warnings = 0;
@@ -307,7 +256,7 @@ try {
                 lintBaselineSchedule(model, baseline, st_pes,
                                      check_schedule, report);
             else
-                lintSchedule(model, kind, st_pes, w_pes, check_bounds,
+                lintSchedule(model, *kind, st_pes, w_pes, check_bounds,
                              check_schedule, ports, report);
         }
         errors += report.errorCount();

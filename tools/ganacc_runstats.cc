@@ -42,42 +42,19 @@ try {
     }
     args.finish();
 
-    gan::GanModel model;
-    if (model_name == "dcgan")
-        model = gan::makeDcgan();
-    else if (model_name == "mnist-gan")
-        model = gan::makeMnistGan();
-    else if (model_name == "cgan")
-        model = gan::makeCgan();
-    else
-        util::fatal("unknown model '", model_name,
-                    "' (dcgan, mnist-gan, cgan)");
-
-    struct Row
-    {
-        sim::PhaseFamily family;
-        core::BankRole role;
-        int pes;
-    };
-    const Row rows[] = {
-        {sim::PhaseFamily::D, core::BankRole::ST, 1200},
-        {sim::PhaseFamily::G, core::BankRole::ST, 1200},
-        {sim::PhaseFamily::Dw, core::BankRole::W, 480},
-        {sim::PhaseFamily::Gw, core::BankRole::W, 480},
-    };
-
-    for (const Row &row : rows) {
-        const auto jobs = sim::familyJobs(model, row.family);
+    const gan::GanModel model = gan::modelByName(model_name);
+    for (sim::PhaseFamily family : sim::allPhaseFamilies()) {
+        const core::BankRole role = core::bankOf(family);
+        const auto jobs = sim::familyJobs(model, family);
         for (core::ArchKind kind : core::allArchKinds()) {
-            sim::Unroll u =
-                core::paperUnroll(kind, row.role, row.family, row.pes);
+            sim::Unroll u = core::paperUnroll(kind, role, family,
+                                              core::paperPes(role));
             auto arch = core::makeArch(kind, u);
             for (std::size_t j = 0; j < jobs.size(); ++j) {
                 sim::RunStats st = arch->run(jobs[j]);
-                std::cout << "{\"bank\":\""
-                          << (row.role == core::BankRole::ST ? "ST" : "W")
+                std::cout << "{\"bank\":\"" << core::bankRoleName(role)
                           << "\",\"family\":\""
-                          << sim::phaseFamilyName(row.family)
+                          << sim::phaseFamilyName(family)
                           << "\",\"arch\":\"" << core::archKindName(kind)
                           << "\",\"unroll\":\""
                           << util::escapeJson(u.str()) << "\",\"job\":\""
