@@ -21,6 +21,7 @@
 #include "gan/models.hh"
 #include "sim/closed_form.hh"
 #include "util/args.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 
 namespace {
@@ -56,7 +57,7 @@ identical(const std::vector<ganacc::core::DsePoint> &a,
 
 int
 main(int argc, char **argv)
-{
+try {
     using namespace ganacc;
     util::ArgParser args(argc, argv);
     const int jobs = args.getJobs();
@@ -178,4 +179,7 @@ main(int argc, char **argv)
                          (best ? best->samplesPerSecond : 1.0)
                   << "x)\n";
     return 0;
+} catch (const ganacc::util::FatalError &e) {
+    std::cerr << "bench_dse_frontier: " << e.what() << "\n";
+    return 2;
 }

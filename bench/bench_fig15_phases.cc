@@ -14,11 +14,12 @@
 #include "gan/models.hh"
 #include "sim/phase.hh"
 #include "util/args.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 
 int
 main(int argc, char **argv)
-{
+try {
     using namespace ganacc;
     util::ArgParser args(argc, argv);
     bench::CacheScope cache(args);
@@ -72,4 +73,7 @@ main(int argc, char **argv)
                  "ZFOST/ZFWST far ahead, NLR crippled by its idle "
                  "adder tree.\n";
     return 0;
+} catch (const ganacc::util::FatalError &e) {
+    std::cerr << "bench_fig15_phases: " << e.what() << "\n";
+    return 2;
 }

@@ -15,11 +15,12 @@
 #include "gan/models.hh"
 #include "sim/phase.hh"
 #include "util/args.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 
 int
 main(int argc, char **argv)
-{
+try {
     using namespace ganacc;
     util::ArgParser args(argc, argv);
     bench::CacheScope cache(args);
@@ -59,4 +60,7 @@ main(int argc, char **argv)
         t.print(std::cout);
     }
     return 0;
+} catch (const ganacc::util::FatalError &e) {
+    std::cerr << "bench_fig16_accesses: " << e.what() << "\n";
+    return 2;
 }

@@ -16,12 +16,13 @@
 #include "sched/design.hh"
 #include "sched/pipeline.hh"
 #include "util/args.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 
 int
 main(int argc, char **argv)
-{
+try {
     using namespace ganacc;
     using core::ArchKind;
     using sched::Design;
@@ -122,4 +123,7 @@ main(int argc, char **argv)
     }
     p.print(std::cout);
     return 0;
+} catch (const ganacc::util::FatalError &e) {
+    std::cerr << "bench_fig17_overall: " << e.what() << "\n";
+    return 2;
 }

@@ -14,12 +14,13 @@
 #include "gan/models.hh"
 #include "sched/design.hh"
 #include "util/args.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 
 int
 main(int argc, char **argv)
-{
+try {
     using namespace ganacc;
     using core::ArchKind;
     using sched::Design;
@@ -91,4 +92,7 @@ main(int argc, char **argv)
               << ", ZFOST@1024 = "
               << cycles(Design::unique(ArchKind::ZFOST, 1024)) << "\n";
     return 0;
+} catch (const ganacc::util::FatalError &e) {
+    std::cerr << "bench_fig18_pe_scaling: " << e.what() << "\n";
+    return 2;
 }

@@ -230,6 +230,45 @@ BM_OstGwL1WalkHooked(benchmark::State &state)
 }
 BENCHMARK(BM_OstGwL1WalkHooked)->Unit(benchmark::kMillisecond);
 
+/**
+ * The fault campaign's reference convolution on one G-family job
+ * (familyJobs index `index`), its operands drawn once as the campaign
+ * draws them.
+ */
+void
+genericConvRefJob(benchmark::State &state, const gan::GanModel &m,
+                  std::size_t index)
+{
+    const sim::ConvSpec job =
+        sim::familyJobs(m, sim::PhaseFamily::G).at(index);
+    util::Rng rng(1);
+    const tensor::Tensor in = sim::makeStreamedInput(job, rng);
+    const tensor::Tensor w = sim::makeStreamedKernel(job, rng);
+    for (auto _ : state) {
+        tensor::Tensor out = sim::genericConvRef(job, in, w);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(job.effectiveMacs()));
+}
+
+/** MNIST-GAN G-fwd L1: the largest MNIST-GAN reference job. */
+void
+BM_GenericConvRefMnistGL1(benchmark::State &state)
+{
+    genericConvRefJob(state, gan::makeMnistGan(), 1);
+}
+BENCHMARK(BM_GenericConvRefMnistGL1)->Unit(benchmark::kMillisecond);
+
+/** DCGAN G-fwd L3: 64 output planes of 32x32, 4 KB apart. */
+void
+BM_GenericConvRefDcganGL3(benchmark::State &state)
+{
+    genericConvRefJob(state, gan::makeDcgan(), 3);
+}
+BENCHMARK(BM_GenericConvRefDcganGL3)->Unit(benchmark::kMillisecond);
+
 /** Golden-model strided convolution on the first DCGAN layer. */
 void
 BM_GoldenSconvDcganL1(benchmark::State &state)

@@ -16,6 +16,7 @@
 #include "gan/models.hh"
 #include "sim/phase.hh"
 #include "util/args.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 
@@ -46,7 +47,7 @@ unrollStr(core::ArchKind kind, const sim::Unroll &u)
 
 int
 main(int argc, char **argv)
-{
+try {
     using namespace ganacc;
     util::ArgParser args(argc, argv);
     const int jobs = args.getJobs();
@@ -122,4 +123,7 @@ main(int argc, char **argv)
                  "shapes; the published entries must be within a few "
                  "percent.)\n";
     return 0;
+} catch (const ganacc::util::FatalError &e) {
+    std::cerr << "bench_table5_unrolling: " << e.what() << "\n";
+    return 2;
 }

@@ -21,12 +21,13 @@
 #include "sched/design.hh"
 #include "serve/result_store.hh"
 #include "util/args.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 
 int
 main(int argc, char **argv)
-{
+try {
     using namespace ganacc;
     util::ArgParser args(argc, argv);
     const int jobs = args.getJobs();
@@ -153,4 +154,7 @@ main(int argc, char **argv)
         std::cout << "; " << disk_cache.store()->summary();
     std::cout << "]\n";
     return 0;
+} catch (const ganacc::util::FatalError &e) {
+    std::cerr << "design_space: " << e.what() << "\n";
+    return 2;
 }

@@ -1085,6 +1085,29 @@ struct ProcessStateGuard
     }
 };
 
+/** A run's scratch directory: emptied on entry, removed on exit.
+ *  Declared before the SUT, so the SUT has stopped by then. */
+struct ScratchDir
+{
+    explicit ScratchDir(const std::string &path) : path_(path)
+    {
+        fs::remove_all(path_);
+        fs::create_directories(path_);
+    }
+
+    ~ScratchDir()
+    {
+        std::error_code ec;
+        fs::remove_all(path_, ec);
+    }
+
+    ScratchDir(const ScratchDir &) = delete;
+    ScratchDir &operator=(const ScratchDir &) = delete;
+
+  private:
+    std::string path_;
+};
+
 /**
  * The lockstep loop plus the final drain and store scan, shared by
  * the single-daemon and fleet paths. `Model` is ReferenceModel or
@@ -1242,8 +1265,7 @@ runConformance(const std::vector<Op> &seq, const RunOptions &opt)
     ProcessStateGuard guard;
     fault::clearFsFaults();
     serve::setStoreBugForTesting(opt.bug);
-    fs::remove_all(opt.scratchDir);
-    fs::create_directories(opt.scratchDir);
+    const ScratchDir scratch(opt.scratchDir);
     core::CycleCache::instance().clear();
     const auto baseline = snapshotCounters();
 

@@ -54,8 +54,9 @@ struct RunOptions
     /// ignored, FsFault ops are unsupported). A Restart op restarts
     /// one shard round-robin on its original address.
     int shards = 1;
-    /// Scratch root for the store and the socket; wiped at run start.
-    /// Must be non-empty and short (AF_UNIX path limit).
+    /// Scratch root for the store and the socket; wiped at run start
+    /// and removed once the run returns or throws. Must be non-empty
+    /// and short (AF_UNIX path limit).
     std::string scratchDir;
     /// Deliberate store bug to arm (harness self-test); None = clean.
     serve::StoreBug bug = serve::StoreBug::None;

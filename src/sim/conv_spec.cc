@@ -304,12 +304,70 @@ everyTap(const ConvSpec &spec)
 }
 
 /** One product of an output's sum: its input slot within an input
- *  plane and its kernel tap, both row-major. */
+ *  plane, row-major, and its kernel tap, numbered among the taps the
+ *  outputs read. */
 struct Tap
 {
     int slot;
     int k;
 };
+
+/** Two adjacent output maps' doubles, one SSE2 register. */
+using LanePair = double __attribute__((vector_size(16)));
+
+/** Lane pairs staged before any output plane is written: a chunk of
+ *  kStagePairs / Pairs outputs, so each plane takes one contiguous run
+ *  per chunk. */
+constexpr std::size_t kStagePairs = 512;
+
+/**
+ * The sums of outputs [p0, p1) of one input map for a group of
+ * 2 * Pairs output maps (Pairs is 1, 4 or 8). Each lane pair's
+ * accumulator is its own local, so all of them stay in registers for
+ * the whole tap list; `wg` holds the group's widened weights, [tap]
+ * [pair], and the sums land in `stage` as [output][pair].
+ */
+template <int Pairs>
+void
+sumChunk(const Tap *taps, const std::size_t *first, std::size_t p0,
+         std::size_t p1, const float *in_c, const LanePair *wg,
+         LanePair *stage)
+{
+    static_assert(Pairs == 1 || Pairs == 4 || Pairs == 8);
+    for (std::size_t p = p0; p < p1; ++p) {
+        LanePair a0{}, a1{}, a2{}, a3{}, a4{}, a5{}, a6{}, a7{};
+        for (std::size_t t = first[p]; t < first[p + 1]; ++t) {
+            const double x = in_c[taps[t].slot];
+            const LanePair xx = {x, x};
+            const LanePair *wr = wg + std::size_t(taps[t].k) * Pairs;
+            a0 += xx * wr[0];
+            if constexpr (Pairs >= 4) {
+                a1 += xx * wr[1];
+                a2 += xx * wr[2];
+                a3 += xx * wr[3];
+            }
+            if constexpr (Pairs == 8) {
+                a4 += xx * wr[4];
+                a5 += xx * wr[5];
+                a6 += xx * wr[6];
+                a7 += xx * wr[7];
+            }
+        }
+        LanePair *s = stage + (p - p0) * Pairs;
+        s[0] = a0;
+        if constexpr (Pairs >= 4) {
+            s[1] = a1;
+            s[2] = a2;
+            s[3] = a3;
+        }
+        if constexpr (Pairs == 8) {
+            s[4] = a4;
+            s[5] = a5;
+            s[6] = a6;
+            s[7] = a7;
+        }
+    }
+}
 
 } // namespace
 
@@ -366,56 +424,78 @@ genericConvRef(const ConvSpec &spec, const Tensor &in, const Tensor &w)
         }
     first.push_back(taps.size());
 
-    // Output maps advance together, eight at a time and then one by
-    // one: one double accumulator per map, held in registers, starts
-    // at +0 and takes the output's taps in order, so each lane's
-    // operations are those of summing one output at a time. Input maps
-    // go in ascending c inside each group, which is the order the sums
-    // reach a non-4-D output in; a 4-D output's planes fill in memory
-    // order.
+    // Only the kernel taps some output reads are widened: renumber
+    // them densely, ascending, so a group's weights stay compact.
+    const std::size_t area = std::size_t(spec.kh) * std::size_t(spec.kw);
+    std::vector<char> read(area, 0);
+    for (const Tap &t : taps)
+        read[std::size_t(t.k)] = 1;
+    std::vector<int> rank(area), kept;
+    for (std::size_t k = 0; k < area; ++k)
+        if (read[k]) {
+            rank[k] = int(kept.size());
+            kept.push_back(int(k));
+        }
+    for (Tap &t : taps)
+        t.k = rank[std::size_t(t.k)];
+
+    // Output maps advance together, sixteen at a time; fewer than
+    // sixteen left run as one group of two, eight or sixteen lanes
+    // whose unused lanes have zero weights and are never stored. Each
+    // lane's double starts at +0 and takes the output's taps in order,
+    // so its operations are those of summing one output at a time.
+    // Input maps go in ascending c inside each group, which is the
+    // order the sums reach a non-4-D output in; a 4-D output's planes
+    // fill in memory order.
     Tensor out = makeOutputTensor(spec);
     const std::size_t outputs = first.size() - 1;
-    const std::size_t area = std::size_t(spec.kh) * std::size_t(spec.kw);
-    std::vector<float> wg(area * 8); // a group's weights, [ky][kx][of]
-    for (int of0 = 0; of0 < nof;) {
-        const int lanes = nof - of0 >= 8 ? 8 : 1;
+    std::vector<LanePair> wg; // a group's weights as doubles, [tap][pair]
+    std::vector<LanePair> stage(kStagePairs);
+    for (int of0 = 0; of0 < nof; of0 += 16) {
+        const int live = std::min(16, nof - of0);
+        const int pairs = live > 8 ? 8 : live > 2 ? 4 : 1;
+        const std::size_t chunk = kStagePairs / std::size_t(pairs);
+        const auto sum = pairs == 8   ? sumChunk<8>
+                         : pairs == 4 ? sumChunk<4>
+                                      : sumChunk<1>;
         for (int c = 0; c < spec.nif; ++c) {
-            // Input map c's weights for the group (a 4-D job has one
-            // kernel plane), so a tap's lanes are contiguous.
-            if (c < kif)
-                for (int j = 0; j < lanes; ++j) {
-                    const float *src =
+            // Input map c's weights for the group, widened once (a 4-D
+            // job has one kernel plane).
+            if (c < kif) {
+                std::array<const float *, 16> src{};
+                for (int j = 0; j < live; ++j)
+                    src[std::size_t(j)] =
                         &w.data()[w.shape().offset(of0 + j, c, 0, 0)];
-                    for (std::size_t t = 0; t < area; ++t)
-                        wg[t * std::size_t(lanes) + std::size_t(j)] = src[t];
-                }
+                auto weight = [&](int j, int k) {
+                    return j < live ? double(src[std::size_t(j)][k]) : 0.0;
+                };
+                wg.resize(kept.size() * std::size_t(pairs));
+                LanePair *dst = wg.data();
+                for (int k : kept)
+                    for (int v = 0; v < pairs; ++v)
+                        *dst++ = LanePair{weight(2 * v, k),
+                                          weight(2 * v + 1, k)};
+            }
             const float *in_c = planes + std::size_t(c) * ph * pw;
-            std::array<float *, 8> o{};
-            for (int j = 0; j < lanes; ++j)
-                o[j] = spec.fourDimOutput ? &out.ref(of0 + j, c, 0, 0)
-                                          : &out.ref(0, of0 + j, 0, 0);
-            for (std::size_t p = 0; p < outputs; ++p) {
-                std::array<double, 8> acc{};
-                if (lanes == 8)
-                    for (std::size_t t = first[p]; t < first[p + 1]; ++t) {
-                        const double x = in_c[taps[t].slot];
-                        const float *wr = &wg[std::size_t(taps[t].k) * 8];
-                        for (int j = 0; j < 8; ++j)
-                            acc[j] += x * double(wr[j]);
+            for (std::size_t p0 = 0; p0 < outputs; p0 += chunk) {
+                const std::size_t p1 = std::min(outputs, p0 + chunk);
+                sum(taps.data(), first.data(), p0, p1, in_c, wg.data(),
+                    stage.data());
+                // One contiguous run per live output plane.
+                for (int j = 0; j < live; ++j) {
+                    float *o = spec.fourDimOutput
+                                   ? &out.ref(of0 + j, c, 0, 0)
+                                   : &out.ref(0, of0 + j, 0, 0);
+                    const LanePair *s = &stage[std::size_t(j / 2)];
+                    for (std::size_t p = p0; p < p1; ++p, s += pairs) {
+                        if (spec.fourDimOutput)
+                            o[p] = float((*s)[j % 2]);
+                        else
+                            o[p] += float((*s)[j % 2]);
                     }
-                else
-                    for (std::size_t t = first[p]; t < first[p + 1]; ++t)
-                        acc[0] += double(in_c[taps[t].slot]) *
-                                  double(wg[std::size_t(taps[t].k)]);
-                for (int j = 0; j < lanes; ++j) {
-                    if (spec.fourDimOutput)
-                        o[j][p] = float(acc[j]);
-                    else
-                        o[j][p] += float(acc[j]);
                 }
             }
         }
-        of0 += lanes;
     }
     return out;
 }

@@ -172,13 +172,19 @@ EffectualTaps effectualTaps(const ConvSpec &spec);
  * in row-major order; a non-four-dim output then adds those sums,
  * each rounded to float, in ascending c. Nothing else fixes the bits.
  *
- * So output maps advance together: the loop runs groups of eight
- * maps, then the rest one by one, and in each group c -> oy -> ox ->
- * taps, with one register accumulator per map. Each lane's operations
- * and their order are those of summing one output at a time (library
- * code is built without FP contraction). The kernel is copied once,
- * one group at a time, into [ky][kx][of] order, so a tap's weights
- * for the group are contiguous.
+ * So output maps advance together: the loop runs groups of sixteen
+ * maps, and in each group c -> oy -> ox -> taps. A group holds its
+ * sixteen doubles as eight two-lane vector locals, so they stay in
+ * registers for the whole tap list. Fewer than sixteen maps left run
+ * as one group of two, eight or sixteen lanes; the unused lanes get
+ * zero weights and are never stored. Each lane's operations and their
+ * order are those of summing one output at a time (library code is
+ * built without FP contraction, and a product of two floats is exact
+ * in a double anyway). Per group and input map, the weights of the
+ * kernel taps some output reads are widened to double once, into
+ * [tap][lane] order. The lane sums of a chunk of outputs are staged,
+ * then each output plane is written as one contiguous run, so planes
+ * 4 KB apart do not fight over one L1 set.
  *
  * The taps are the effectual ones of each output (effectualTaps):
  * every structural-zero and padding product is skipped. That is

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "util/logging.hh"
 
 using namespace ganacc;
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -156,6 +158,15 @@ TEST(ConformHarness, UnixDaemonConformsWithFaultsArmed)
         seq, testRunOptions(conform::SutMode::Unix, "clean"));
     EXPECT_TRUE(rep.clean()) << rep.text();
     EXPECT_EQ(seq.size(), rep.opsApplied);
+}
+
+TEST(ConformHarness, CleanRunRemovesItsScratchDirectory)
+{
+    const auto seq = sampleSequence(5, 40);
+    const auto opt = testRunOptions(conform::SutMode::Pipe, "scratch");
+    const conform::Report rep = conform::runConformance(seq, opt);
+    EXPECT_TRUE(rep.clean()) << rep.text();
+    EXPECT_FALSE(fs::exists(opt.scratchDir)) << opt.scratchDir;
 }
 
 TEST(ConformHarness, PipeDaemonConformsWithFaultsArmed)

@@ -382,33 +382,62 @@ TEST(ConvSpec, GenericConvRefBitIdenticalToDenseOnFuzzCorpus)
 }
 
 /**
- * The fuzz corpus with wide output-map runs: nof in [5, 40], odd
- * counts included, so a run fills whole groups of eight maps and
- * leaves a tail of one-by-one maps. The draw covers 4-D, stuffed and
- * padded specs, and input maps that accumulate across c.
+ * The fuzz corpus with wide output-map runs: nof in [5, 48], odd
+ * counts included, so a run fills whole groups of sixteen maps and
+ * ends in a partial group of up to sixteen, eight or two lanes whose
+ * unused lanes are never stored. The draw covers 4-D, stuffed and
+ * padded specs, and input maps that accumulate across c. One more
+ * spec has 32x32 output planes, 4 KB apart, so sixteen of them share
+ * an L1 set: the staged stores must still land in the right plane.
  */
 TEST(ConvSpec, GenericConvRefBitIdenticalOnWideOutputMaps)
 {
     Rng rng(0x0F5EEDULL);
     int four_dim = 0, stuffed = 0, padded = 0, odd = 0, tail = 0,
-        multi_c = 0;
-    for (int i = 0; i < 60; ++i) {
-        ConvSpec s = tests::randomSpec(rng);
-        s.nof = rng.uniformInt(5, 40);
+        multi_c = 0, full_then_partial = 0, partial_le8 = 0,
+        partial_le2 = 0, exact_group = 0;
+    auto count = [&](const ConvSpec &s) {
+        const int last = s.nof % 16;
         four_dim += s.fourDimOutput;
         stuffed += s.inZeroStride == 2;
         padded += s.pad > 0;
         odd += s.nof % 2;
         tail += s.nof > 8 && s.nof % 8 != 0;
         multi_c += !s.fourDimOutput && s.nif > 1;
+        full_then_partial += s.nof > 16 && last != 0;
+        partial_le8 += last != 0 && last <= 8;
+        partial_le2 += last != 0 && last <= 2;
+        exact_group += s.nof == 16 || s.nof == 8;
+    };
+    for (int i = 0; i < 60; ++i) {
+        ConvSpec s = tests::randomSpec(rng);
+        s.nof = rng.uniformInt(5, 48);
+        count(s);
         expectMatchesDenseOracle(s, rng);
     }
+
+    ConvSpec wide;
+    wide.label = "wide-planes";
+    wide.nif = 2;
+    wide.nof = 21;
+    wide.ih = wide.iw = 32;
+    wide.kh = wide.kw = 3;
+    wide.stride = 1;
+    wide.pad = 1;
+    wide.oh = wide.ow = 32;
+    count(wide);
+    expectMatchesDenseOracle(wide, rng);
+
     EXPECT_GT(four_dim, 0);
     EXPECT_GT(stuffed, 0);
     EXPECT_GT(padded, 0);
     EXPECT_GT(odd, 0);
     EXPECT_GT(tail, 0);
     EXPECT_GT(multi_c, 0);
+    EXPECT_GT(full_then_partial, 0);
+    EXPECT_GT(partial_le8, 0);
+    EXPECT_GT(partial_le2, 0);
+    EXPECT_GT(exact_group, 0);
 }
 
 /** The 16 MNIST-GAN jobs of the four Table V families. */
